@@ -22,39 +22,67 @@ ContainerPool::~ContainerPool()
     sim_.context().counters().add("cluster.warm_starts", warmStarts_);
 }
 
-Node&
-ContainerPool::pickNode()
+template <typename Place>
+void
+ContainerPool::placeBatch(std::uint32_t n, Place&& place)
 {
-    // Least-loaded placement with round-robin tie-breaking, so cold
-    // starts spread across the cluster deterministically. Only
-    // placeable (Ready, up) nodes receive placements unless the whole
-    // fleet is unplaceable.
+    // Least-loaded placement with round-robin tie-breaking, so
+    // placements spread across the cluster deterministically: each
+    // container goes to the first placeable (Ready, up) node of
+    // minimum load at or after the cursor, wrapping, and the cursor
+    // advances by one per container. Placing runs no events, so every
+    // node's load and placeability stay fixed for the whole batch;
+    // one scan finds the minimum load, its first candidate and the
+    // first candidate at or after the cursor, and later containers
+    // only move forward to the next candidate.
     const auto& workers = fleet_.workers();
-    Node* best = nullptr;
-    std::uint32_t bestLoad = ~0u;
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-        Node* n = workers[(rrNext_ + i) % workers.size()].get();
-        if (!fleet_.placeable(n->id()))
+    const std::size_t w = workers.size();
+    const auto load = [](const Node& node) {
+        return node.busyCores() +
+               static_cast<std::uint32_t>(node.queueLength());
+    };
+    std::size_t cursor = rrNext_ % w;
+    std::uint32_t minLoad = ~0u;
+    std::size_t first = w; // first candidate overall
+    std::size_t next = w;  // first candidate at or after the cursor
+    for (std::size_t i = 0; i < w; ++i) {
+        if (!fleet_.placeable(workers[i]->id()))
             continue;
-        const auto load = n->busyCores() +
-                          static_cast<std::uint32_t>(n->queueLength());
-        if (load < bestLoad) {
-            bestLoad = load;
-            best = n;
+        const auto l = load(*workers[i]);
+        if (l < minLoad) {
+            minLoad = l;
+            first = i;
+            next = w;
+        }
+        if (l == minLoad && next == w && i >= cursor)
+            next = i;
+    }
+    const auto candidate = [&](std::size_t i) {
+        return fleet_.placeable(workers[i]->id()) &&
+               load(*workers[i]) == minLoad;
+    };
+    for (std::uint32_t k = 0; k < n; ++k) {
+        const std::size_t at = cursor;
+        cursor = (cursor + 1) % w;
+        if (first == w) {
+            // Nothing is placeable: fall back to the node after the
+            // cursor.
+            place(*workers[cursor]);
+            continue;
+        }
+        place(*workers[next == w ? first : next]);
+        if (k + 1 == n)
+            break;
+        // Keep `next` the first candidate at or after the new cursor.
+        if (cursor == 0) {
+            next = first;
+        } else if (next == at) {
+            do
+                ++next;
+            while (next < w && !candidate(next));
         }
     }
-    rrNext_ = (rrNext_ + 1) % static_cast<std::uint32_t>(workers.size());
-    if (best == nullptr)
-        best = workers[rrNext_ % workers.size()].get();
-    return *best;
-}
-
-Node*
-ContainerPool::nodeById(NodeId id) const
-{
-    // Worker ids equal their index in the fleet's worker table.
-    const auto& workers = fleet_.workers();
-    return id < workers.size() ? workers[id].get() : nullptr;
+    rrNext_ = static_cast<std::uint32_t>(cursor);
 }
 
 ContainerFunctionPool&
@@ -120,8 +148,10 @@ ContainerPool::acquire(Symbol function, AcquireCallback done)
 
     // Cold start: create a container on the least-loaded node.
     ++coldStarts_;
-    Node& node = pickNode();
-    Container* c = createContainer(pool, node.id());
+    Container* c = nullptr;
+    placeBatch(1, [&](const Node& node) {
+        c = createContainer(pool, node.id());
+    });
     c->busy = true;
 
     AcquireTiming timing;
@@ -201,12 +231,11 @@ void
 ContainerPool::prewarm(Symbol function, std::uint32_t count)
 {
     ContainerFunctionPool& pool = poolFor(function);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        Node& node = pickNode();
+    placeBatch(count, [&](const Node& node) {
         Container* c = createContainer(pool, node.id());
         c->idleSince = sim_.now();
         pool.warm.push_back(c);
-    }
+    });
 }
 
 std::size_t
@@ -217,17 +246,18 @@ ContainerPool::reclaimWarmOnNode(NodeId node)
         if (entry == nullptr)
             continue;
         ContainerFunctionPool& pool = *entry;
-        for (std::size_t i = pool.warm.size(); i-- > 0;) {
-            Container* c = pool.warm[i];
-            if (c->node != node)
-                continue;
-            pool.warm.erase(pool.warm.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            c->dead = true;
-            --pool.live;
-            pool.free_.push_back(c);
-            ++dropped;
-        }
+        // One pass; survivors keep their idleSince order (evictIdle).
+        const auto kept = std::remove_if(
+            pool.warm.begin(), pool.warm.end(), [&](Container* c) {
+                if (c->node != node)
+                    return false;
+                c->dead = true;
+                --pool.live;
+                pool.free_.push_back(c);
+                ++dropped;
+                return true;
+            });
+        pool.warm.erase(kept, pool.warm.end());
     }
     return dropped;
 }

@@ -92,8 +92,9 @@ struct AcquireTiming
 /**
  * Cluster-wide container manager with per-function warm pools.
  *
- * Placement is least-loaded-node (ties broken by node id) at cold
- * creation time; warm containers are reused wherever they live.
+ * Placement is least-loaded-node (ties broken round-robin from a
+ * cursor) at cold creation and prewarm time; warm containers are
+ * reused wherever they live.
  */
 class ContainerPool
 {
@@ -199,8 +200,13 @@ class ContainerPool
     /** @} */
 
   private:
-    Node& pickNode();
-    Node* nodeById(NodeId id) const;
+    /**
+     * Place @p n containers, calling @p place(node) for each in
+     * order: least-loaded placeable node, round-robin on ties (see
+     * the definition). One scan of the workers per batch.
+     */
+    template <typename Place>
+    void placeBatch(std::uint32_t n, Place&& place);
     /** Shared dropNode/evictWarmOnNode loop. */
     std::size_t reclaimWarmOnNode(NodeId node);
 

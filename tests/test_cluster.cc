@@ -171,6 +171,23 @@ TEST(ContainerPool, DestroyForcesColdStartNextTime)
     EXPECT_EQ(cluster.containers().coldStarts(), 1u);
 }
 
+TEST(ContainerPool, PrewarmSpreadsEvenlyOverIdleNodes)
+{
+    Simulation sim;
+    ClusterConfig config;
+    config.numNodes = 100;
+    Cluster cluster(sim, config);
+    cluster.containers().prewarm("f", 512);
+    std::size_t total = 0;
+    for (NodeId id = 0; id < 100; ++id) {
+        const std::size_t live = cluster.containers().liveOnNode(id);
+        // Round-robin from node 0: the first 12 nodes get the extra.
+        EXPECT_EQ(live, id < 12 ? 6u : 5u) << "node " << id;
+        total += live;
+    }
+    EXPECT_EQ(total, 512u);
+}
+
 TEST(Cluster, GeometryAndUtilization)
 {
     Simulation sim;

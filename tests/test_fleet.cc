@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the dynamic fleet layer: autoscaler policy,
- * keep-alive tracking, node lifecycle, fair-share admission, and the
- * configuration validation at fleet construction.
+ * keep-alive tracking, node lifecycle, fair-share admission, container
+ * placement, and the configuration validation at fleet construction.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
+#include "common/logging.hh"
+#include "common/rng.hh"
 #include "fleet/autoscaler.hh"
 #include "fleet/eviction.hh"
 #include "fleet/fleet.hh"
@@ -381,6 +385,254 @@ TEST(Cluster, ViewDelegatesToFleet)
     EXPECT_FALSE(cluster.fleet().placeable(0));
     cluster.restoreNode(0);
     EXPECT_TRUE(cluster.fleet().placeable(0));
+}
+
+
+// ---- Placement ------------------------------------------------------
+
+/**
+ * Reference placement: the per-container scan the pool ran before it
+ * placed batches. Scan every worker from the cursor, keep the first
+ * strictly least-loaded placeable one and advance the cursor by one;
+ * with nothing placeable, take the node after the advanced cursor.
+ */
+class ReferencePlacer
+{
+  public:
+    explicit ReferencePlacer(const Fleet& fleet) : fleet_(fleet) {}
+
+    NodeId
+    place()
+    {
+        const auto& workers = fleet_.workers();
+        const Node* best = nullptr;
+        std::uint32_t bestLoad = ~0u;
+        for (std::size_t i = 0; i < workers.size(); ++i) {
+            const Node* n =
+                workers[(cursor_ + i) % workers.size()].get();
+            if (!fleet_.placeable(n->id()))
+                continue;
+            const auto load =
+                n->busyCores() +
+                static_cast<std::uint32_t>(n->queueLength());
+            if (load < bestLoad) {
+                bestLoad = load;
+                best = n;
+            }
+        }
+        cursor_ =
+            (cursor_ + 1) % static_cast<std::uint32_t>(workers.size());
+        if (best == nullptr) {
+            ++fallbacks;
+            best = workers[cursor_ % workers.size()].get();
+        }
+        return best->id();
+    }
+
+    std::uint64_t fallbacks = 0;
+
+  private:
+    const Fleet& fleet_;
+    std::uint32_t cursor_ = 0;
+};
+
+std::vector<std::size_t>
+liveByNode(Fleet& fleet)
+{
+    std::vector<std::size_t> live;
+    for (const auto& node : fleet.workers())
+        live.push_back(fleet.containers().liveOnNode(node->id()));
+    return live;
+}
+
+/** Nodes of @p function's warm containers, in warm-pool order. */
+std::vector<NodeId>
+drainWarmOrder(Simulation& sim, Fleet& fleet, Symbol function,
+               std::size_t count)
+{
+    std::vector<NodeId> got(count, Fleet::kControllerNode);
+    for (std::size_t j = 0; j < count; ++j)
+        fleet.containers().acquire(
+            function, [&got, j](Container& c, const AcquireTiming&) {
+                got[j] = c.node;
+            });
+    // Warm acquisitions complete after the handler fork; cold starts
+    // (and the long tasks loading the nodes) stay pending.
+    sim.events().runUntil(sim.now() +
+                          fleet.clusterConfig().handlerForkOverhead);
+    return got;
+}
+
+TEST(Placement, BatchMatchesPerContainerScan)
+{
+    // Seeded random fleets with Ready, Draining, Provisioning and
+    // failed nodes, unequal loads, and cold acquires between prewarm
+    // batches that move the cursor.
+    std::uint64_t fallbacks = 0;
+    std::uint64_t draining = 0;
+    std::uint64_t provisioning = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        Simulation sim;
+        ClusterConfig cluster;
+        cluster.numNodes =
+            static_cast<std::uint32_t>(rng.uniformInt(1, 24));
+        cluster.coresPerNode =
+            static_cast<std::uint32_t>(rng.uniformInt(1, 3));
+        FleetConfig cfg;
+        cfg.dynamics = true;
+        cfg.minNodes = 1;
+        cfg.maxNodes = cluster.numNodes + 64;
+        cfg.provisioningDelay = 1000 * kSecond; // never Ready here
+        cfg.autoscaler.enabled = false;
+        cfg.eviction.policy = EvictionConfig::Policy::None;
+        Fleet fleet(sim, cluster, cfg);
+        ReferencePlacer ref(fleet);
+        // Prewarm batches: function and expected warm-pool order.
+        std::vector<std::pair<Symbol, std::vector<NodeId>>> batches;
+        const auto forget = [&](NodeId id) {
+            // The node's warm containers died with it (fail/drain).
+            for (auto& batch : batches)
+                batch.second.erase(std::remove(batch.second.begin(),
+                                               batch.second.end(), id),
+                                   batch.second.end());
+        };
+        const auto randomWorker = [&]() {
+            return static_cast<NodeId>(
+                rng.uniformInt(fleet.workers().size()));
+        };
+
+        for (int step = 0; step < 12; ++step) {
+            switch (rng.uniformInt(std::uint64_t{6})) {
+            case 0:
+                fleet.provision(
+                    static_cast<std::uint32_t>(rng.uniformInt(1, 3)));
+                break;
+            case 1: {
+                std::vector<NodeState> before;
+                for (NodeId id = 0; id < fleet.workers().size(); ++id)
+                    before.push_back(fleet.state(id));
+                fleet.drain(1);
+                for (NodeId id = 0; id < before.size(); ++id)
+                    if (fleet.state(id) != before[id])
+                        forget(id);
+                break;
+            }
+            case 2: {
+                const NodeId id = randomWorker();
+                fleet.failNode(id);
+                forget(id);
+                break;
+            }
+            case 3:
+                fleet.restoreNode(randomWorker());
+                break;
+            default: {
+                Node& node = fleet.worker(randomWorker());
+                const auto tasks = rng.uniformInt(1, 4);
+                for (std::int64_t t = 0; t < tasks; ++t)
+                    node.submit(1000 * kSecond, []() {});
+                break;
+            }
+            }
+            if (step == 6 && seed % 4 == 0) {
+                // Nothing placeable: every worker is down.
+                for (NodeId id = 0; id < fleet.workers().size(); ++id) {
+                    fleet.failNode(id);
+                    forget(id);
+                }
+            }
+            for (NodeId id = 0; id < fleet.workers().size(); ++id) {
+                draining += fleet.state(id) == NodeState::Draining;
+                provisioning +=
+                    fleet.state(id) == NodeState::Provisioning;
+            }
+
+            std::vector<std::size_t> expect = liveByNode(fleet);
+            const Symbol fn(strFormat("placement-%llu-%d",
+                                      static_cast<unsigned long long>(
+                                          seed),
+                                      step));
+            if (rng.bernoulli(0.3)) {
+                ++expect[ref.place()];
+                fleet.containers().acquire(
+                    fn, [](Container&, const AcquireTiming&) {});
+            } else {
+                const auto count = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, 3 * static_cast<std::int64_t>(
+                                              expect.size())));
+                std::vector<NodeId> order;
+                for (std::uint32_t k = 0; k < count; ++k) {
+                    order.push_back(ref.place());
+                    ++expect[order.back()];
+                }
+                fleet.containers().prewarm(fn, count);
+                batches.emplace_back(fn, std::move(order));
+            }
+            ASSERT_EQ(liveByNode(fleet), expect) << "step " << step;
+        }
+        for (const auto& [fn, order] : batches)
+            EXPECT_EQ(drainWarmOrder(sim, fleet, fn, order.size()), order);
+        fallbacks += ref.fallbacks;
+    }
+    // The random fleets reached every case the test claims to cover.
+    EXPECT_GT(fallbacks, 0u);
+    EXPECT_GT(draining, 0u);
+    EXPECT_GT(provisioning, 0u);
+}
+
+TEST(Placement, DrainedAndFailedNodesGetNone)
+{
+    Simulation sim;
+    ClusterConfig cluster = smallCluster();
+    cluster.numNodes = 6;
+    FleetConfig cfg = dynamicConfig();
+    Fleet fleet(sim, cluster, cfg);
+    fleet.drain(1);
+    ASSERT_EQ(fleet.state(5), NodeState::Draining);
+    fleet.failNode(2);
+    fleet.containers().prewarm(Symbol("placement-pin-fn"), 40);
+    // The cursor steps over every worker, so a candidate right after
+    // an excluded node (3 after 2, 0 after 5) also takes the excluded
+    // node's turn.
+    EXPECT_EQ(liveByNode(fleet),
+              (std::vector<std::size_t>{13, 7, 0, 14, 6, 0}));
+}
+
+TEST(Placement, BatchGoesOnlyToLeastLoadedNodes)
+{
+    Simulation sim;
+    ClusterConfig cluster = smallCluster();
+    cluster.numNodes = 5;
+    Fleet fleet(sim, cluster, FleetConfig{});
+    fleet.worker(0).submit(kSecond, []() {});
+    fleet.worker(2).submit(kSecond, []() {});
+    fleet.worker(4).submit(kSecond, []() {});
+    fleet.worker(4).submit(kSecond, []() {});
+    // Loads 1 0 1 0 2: only nodes 1 and 3 are candidates.
+    fleet.containers().prewarm(Symbol("placement-least-fn"), 11);
+    EXPECT_EQ(liveByNode(fleet),
+              (std::vector<std::size_t>{0, 7, 0, 4, 0}));
+}
+
+TEST(Placement, ReclaimKeepsSurvivorOrder)
+{
+    Simulation sim;
+    ClusterConfig cluster = smallCluster();
+    cluster.numNodes = 4;
+    Fleet fleet(sim, cluster, dynamicConfig());
+    const Symbol fn("placement-reclaim-fn");
+    // Round-robin over 4 idle nodes: 0 1 2 3 0 1 2 3.
+    fleet.containers().prewarm(fn, 8);
+    fleet.failNode(1);
+    EXPECT_EQ(fleet.containers().containerCount(fn), 6u);
+    fleet.drain(1); // node 3: least loaded Ready, highest id
+    ASSERT_EQ(fleet.state(3), NodeState::Draining);
+    EXPECT_EQ(fleet.stats().evictions, 2u);
+    EXPECT_EQ(drainWarmOrder(sim, fleet, fn, 4),
+              (std::vector<NodeId>{0, 2, 0, 2}));
+    EXPECT_EQ(fleet.containers().warmCount(), 0u);
 }
 
 } // namespace
