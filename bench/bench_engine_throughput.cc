@@ -16,14 +16,8 @@
  *    chains plus one-shot schedule/cancel noise) that isolates the
  *    kernel from the platform model. Tens of millions of events keep
  *    the id-state window compaction honest.
- *  - "pipeline": a pure churn loop over the controllers' order-
- *    indexed pipeline structures (PipelineMap commit frontier and
- *    squash truncation, OrderedKeySet branch index), isolating the
- *    squash/commit rework from the platform model and pinning its
- *    wall cost against regressions back to per-element scans.
  *
  *     bench_engine_throughput [--requests=<n>] [--kernel-events=<n>]
- *                             [--pipeline-ops=<n>]
  *                             [--json-out=<f>] [--trace-out=<f>] ...
  *
  * Events/sec and wall time land in the report section "throughput";
@@ -39,7 +33,6 @@
 #include <new>
 
 #include "bench_common.hh"
-#include "common/flat_map.hh"
 #include "platform/load_generator.hh"
 #include "sim/event_queue.hh"
 
@@ -127,73 +120,6 @@ struct KernelChurn
     }
 };
 
-/**
- * Deterministic churn over the order-indexed pipeline structures,
- * mirroring the controller access pattern: program-order append
- * bursts (a speculative walk), commit-frontier pops, squashes as
- * reverse tail pops plus one suffix truncation, fault-retry point
- * erases, and open-branch index maintenance alongside. The op count
- * is deterministic for the fixed seed, so CI gates it; the wall cost
- * pins the structures against a regression back to per-element
- * scans and shifts.
- * @return ops executed (every structural mutation counts as one)
- */
-std::uint64_t
-pipelineChurn(std::uint64_t budget)
-{
-    Rng rng(67890);
-    PipelineMap<std::uint64_t, std::uint64_t> slots;
-    OrderedKeySet<std::uint64_t> branches;
-    std::uint64_t next = 0;
-    std::uint64_t ops = 0;
-    while (ops < budget) {
-        const std::uint64_t burst = 1 + (rng.next() & 31);
-        for (std::uint64_t i = 0; i < burst; ++i) {
-            slots.emplace(next, next);
-            if ((next & 7) == 0)
-                branches.insert(next);
-            ++next;
-            ++ops;
-        }
-        const std::uint64_t pick = rng.next() % 100;
-        if (pick < 55) { // commit a prefix
-            std::uint64_t n = 1 + (rng.next() & 15);
-            while (n-- != 0 && !slots.empty()) {
-                branches.erase(slots.front().first);
-                slots.popFront();
-                ++ops;
-            }
-        } else if (pick < 85) { // squash
-            std::uint64_t n = 1 + (rng.next() & 7);
-            while (n-- != 0 && !slots.empty()) {
-                slots.popBackExpect(slots.back().first);
-                ++ops;
-            }
-            if (!slots.empty()) {
-                const std::uint64_t lo = slots.front().first;
-                const std::uint64_t span =
-                    slots.back().first - lo + 1;
-                const std::uint64_t from = lo + rng.next() % span;
-                ops += slots.eraseFrom(from);
-                branches.eraseFrom(from);
-            }
-        } else if (!slots.empty()) { // fault retry at one coordinate
-            const std::uint64_t lo = slots.front().first;
-            const std::uint64_t span = slots.back().first - lo + 1;
-            const std::uint64_t key = lo + rng.next() % span;
-            if (branches.anyBefore(key))
-                ++ops; // counted so the query can't be optimised out
-            ops += slots.erase(key);
-        }
-    }
-    while (!slots.empty()) { // drain: final commit sweep
-        slots.popFront();
-        ++ops;
-    }
-    branches.clear();
-    return ops;
-}
-
 } // namespace
 
 int
@@ -203,14 +129,11 @@ main(int argc, char** argv)
     obs::ObsSession obs(argc, argv);
     std::size_t requests = 150;
     std::uint64_t kernelEvents = 4'000'000;
-    std::uint64_t pipelineOps = 8'000'000;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--requests=", 11) == 0)
             requests = std::strtoull(argv[i] + 11, nullptr, 10);
         else if (std::strncmp(argv[i], "--kernel-events=", 16) == 0)
             kernelEvents = std::strtoull(argv[i] + 16, nullptr, 10);
-        else if (std::strncmp(argv[i], "--pipeline-ops=", 15) == 0)
-            pipelineOps = std::strtoull(argv[i] + 15, nullptr, 10);
     }
     banner("Engine throughput: events/sec on the fig11 workload "
            "and a kernel-only churn loop");
@@ -218,8 +141,6 @@ main(int argc, char** argv)
         "requests", Value(static_cast<std::int64_t>(requests)));
     obs.report().setConfig(
         "kernel_events", Value(static_cast<std::int64_t>(kernelEvents)));
-    obs.report().setConfig(
-        "pipeline_ops", Value(static_cast<std::int64_t>(pipelineOps)));
 
     // Phase 1: the fig11 suites through both engines at Medium load.
     // The wall timer spans platform preparation (prewarm + training)
@@ -263,15 +184,6 @@ main(int argc, char** argv)
     const double kernelEps =
         static_cast<double>(kernelExecuted) / (kernelMs / 1000.0);
 
-    // Phase 3: pipeline-structure churn.
-    const std::uint64_t allocs2 = gAllocs.load();
-    const auto pipelineStart = std::chrono::steady_clock::now();
-    const std::uint64_t pipelineExecuted = pipelineChurn(pipelineOps);
-    const double pipelineMs = elapsedMs(pipelineStart);
-    const std::uint64_t pipelineAllocs = gAllocs.load() - allocs2;
-    const double pipelineOpsPerSec =
-        static_cast<double>(pipelineExecuted) / (pipelineMs / 1000.0);
-
     TextTable table;
     table.header({"Phase", "Events", "Wall ms", "Events/sec",
                   "Allocs/event"});
@@ -289,14 +201,6 @@ main(int argc, char** argv)
                strFormat("%.3g", kernelEps),
                strFormat("%.2f", static_cast<double>(kernelAllocs) /
                                      static_cast<double>(kernelExecuted))});
-    table.row({"pipeline churn",
-               strFormat("%llu",
-                         static_cast<unsigned long long>(pipelineExecuted)),
-               strFormat("%.0f", pipelineMs),
-               strFormat("%.3g", pipelineOpsPerSec),
-               strFormat("%.2f",
-                         static_cast<double>(pipelineAllocs) /
-                             static_cast<double>(pipelineExecuted))});
     table.print();
 
     // Deterministic identity of the run — what CI gates.
@@ -312,9 +216,6 @@ main(int argc, char** argv)
     obs.report().addMetric("kernel_events_executed",
                            static_cast<double>(kernelExecuted),
                            /*higherIsBetter=*/true, "events");
-    obs.report().addMetric("pipeline_ops_executed",
-                           static_cast<double>(pipelineExecuted),
-                           /*higherIsBetter=*/true, "ops");
 
     // Machine-dependent timings — informational only.
     Value throughput;
@@ -326,10 +227,6 @@ main(int argc, char** argv)
     throughput["kernel_events_per_sec"] = Value(kernelEps);
     throughput["kernel_allocations"] =
         Value(static_cast<std::int64_t>(kernelAllocs));
-    throughput["pipeline_wall_ms"] = Value(pipelineMs);
-    throughput["pipeline_ops_per_sec"] = Value(pipelineOpsPerSec);
-    throughput["pipeline_allocations"] =
-        Value(static_cast<std::int64_t>(pipelineAllocs));
     obs.report().addSection("throughput", std::move(throughput));
 
     std::printf("\nEvents/sec is host-dependent; the JSON gate compares "

@@ -106,15 +106,6 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
     /** One attempt-scoped storage write: key and the value before. */
     using UndoEntry = std::pair<std::string, std::optional<Value>>;
 
-    struct OrderLess
-    {
-        bool
-        operator()(const OrderKey& a, const OrderKey& b) const
-        {
-            return orderKeyLess(a, b);
-        }
-    };
-
     struct Invocation
     {
         InvocationResult result;
@@ -136,10 +127,8 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
         std::vector<std::pair<OrderKey, Symbol>> sequence;
         // Live instance handles, for fault recovery (subtree kill,
         // node-failure sweep). Mirrors liveInstances. Instance ids
-        // are monotonic, so insertion is an append and the oldest
-        // instances retire first — pipeline-indexed so those front
-        // erases advance a frontier instead of shifting the vector.
-        PipelineMap<InstanceId, InstancePtr> instances;
+        // are monotonic, so insertion is an append.
+        FlatMap<InstanceId, InstancePtr> instances;
         // Fault-retry attempts per pipeline coordinate.
         FlatMap<OrderKey, std::uint32_t, OrderLess> attempts;
         // Per-instance undo log: this attempt's storage writes, in
@@ -194,14 +183,12 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
      * rather than an ABA hit on a reused slot.
      */
     SlotArray<Invocation> invArena_;
-    /** Id → record handle. Ids are monotonic (inserts append) and
-     * invocations mostly finish oldest-first, so removals cluster at
-     * the front — the pipeline frontier absorbs them. */
-    PipelineMap<InvocationId, SlotHandle> live_;
+    /** Id → record handle; the node-failure sweep visits it in id
+     * order. */
+    FlatMap<InvocationId, SlotHandle> live_;
     std::unordered_map<const Application*, FlowProgram> programs_;
-    /** Implicit-callee return continuations, keyed by callee id
-     * (monotonic; consumed roughly in issue order). */
-    PipelineMap<InstanceId, ValueCallback> callReturns_;
+    /** Implicit-callee return continuations, keyed by callee id. */
+    std::unordered_map<InstanceId, ValueCallback> callReturns_;
 
     obs::CounterRegistry counters_;
     std::uint64_t& ctrInvocations_ = counters_.counter("baseline.invocations");

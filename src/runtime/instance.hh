@@ -48,6 +48,16 @@ using OrderKey = SmallVector<std::int32_t, 8>;
 /** Lexicographic comparison; a proper prefix orders first. */
 bool orderKeyLess(const OrderKey& a, const OrderKey& b);
 
+/** orderKeyLess as a comparator type, for program-ordered containers. */
+struct OrderLess
+{
+    bool
+    operator()(const OrderKey& a, const OrderKey& b) const
+    {
+        return orderKeyLess(a, b);
+    }
+};
+
 /** True when @p pre is a proper prefix of @p key (caller-of). */
 bool orderKeyIsPrefix(const OrderKey& pre, const OrderKey& key);
 

@@ -1,6 +1,7 @@
 #include "spec_controller.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
@@ -693,7 +694,7 @@ SpecController::resumeBlockedOn(SpecInvocation& inv, const Slot& slot)
         f.source = InputSource::Actual;
         f.carryProducer.clear();
     }
-    f.afterUnresolvedBranch = inv.openBranches.anyBefore(f.order);
+    f.afterUnresolvedBranch = inv.branchOpenBefore(f.order);
     walk(inv, std::move(f));
 }
 
@@ -763,20 +764,12 @@ SpecController::squashRange(SpecInvocation& inv,
         return !orderKeyLess(e.second, from);
     });
 
-    // Collect victims in reverse program order. The handle list lives
-    // in the invocation's scratch arena (trivially copyable payload,
-    // reclaimed with the record); squash cascades re-enter this
-    // function, so the arena is never reset here.
-    const auto firstVictim = inv.slots.lower_bound(from);
-    const std::size_t nVictims =
-        static_cast<std::size_t>(inv.slots.end() - firstVictim);
-    SlotHandle* victims =
-        inv.scratch.allocArray<SlotHandle>(nVictims);
-    {
-        std::size_t i = 0;
-        for (auto it = firstVictim; it != inv.slots.end(); ++it)
-            victims[i++] = it->second;
-    }
+    // Collect victims, then retire them in reverse program order.
+    SmallVector<SlotHandle, 8> victims;
+    for (auto it = inv.slots.lower_bound(from); it != inv.slots.end();
+         ++it)
+        victims.push_back(it->second);
+    const std::size_t nVictims = victims.size();
 
     for (std::size_t vi = nVictims; vi-- > 0;) {
         Slot& s = slotAt(victims[vi]);
@@ -815,11 +808,15 @@ SpecController::squashRange(SpecInvocation& inv,
         ++ctrSquashes_;
         ++inv.result.squashes;
         // Reverse order: every removal must pop the current suffix
-        // tail (no element shifting). popBackExpect asserts exactly
-        // that — nothing in this loop (interpreter squash, container
-        // release) re-enters the pipeline map, so a violation means a
-        // new reentrant path and must be caught, not absorbed.
-        inv.slots.popBackExpect(s.order);
+        // tail (no element shifting). Nothing in this loop
+        // (interpreter squash, container release) re-enters the
+        // pipeline map, so a violation means a new reentrant path and
+        // must be caught, not absorbed.
+        SPECFAAS_ASSERT(!inv.slots.empty() &&
+                            std::prev(inv.slots.end())->first == s.order,
+                        "suffix-pop invariant violated: tail is not "
+                        "the expected key");
+        inv.slots.erase(std::prev(inv.slots.end()));
         slotArena_.destroy(victims[vi]);
     }
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
@@ -851,7 +848,8 @@ SpecController::squashRange(SpecInvocation& inv,
         inv.joins.erase(fork.join);
     }
     inv.forks.eraseFrom(from);
-    inv.openBranches.eraseFrom(from);
+    inv.openBranches.erase(inv.openBranches.lower_bound(from),
+                           inv.openBranches.end());
     inv.responseSeen = false;
 
     for (auto& r : relaunches) {
@@ -941,7 +939,7 @@ SpecController::recoverFromCrash(InvocationId id, SlotHandle h)
         f.pathHash = slot.pathHash;
         OrderKey from = slot.order;
         adjustRewindToForkBase(inv, from, f);
-        if (inv.openBranches.anyBefore(from))
+        if (inv.branchOpenBefore(from))
             f.afterUnresolvedBranch = true;
         squashRange(inv, from, SquashReason::Fault);
         rewindExplicit(inv, std::move(f));
@@ -1170,7 +1168,7 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
                 f.pathHash = next_path;
                 OrderKey from = increment(slot.order);
                 adjustRewindToForkBase(inv, from, f);
-                if (inv.openBranches.anyBefore(from))
+                if (inv.branchOpenBefore(from))
                     f.afterUnresolvedBranch = true;
                 squashRange(inv, from,
                             SquashReason::ControlMispredict);
@@ -1207,7 +1205,7 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
                 f.pathHash = next_path;
                 OrderKey from = increment(slot.order);
                 adjustRewindToForkBase(inv, from, f);
-                if (inv.openBranches.anyBefore(from))
+                if (inv.branchOpenBefore(from))
                     f.afterUnresolvedBranch = true;
                 squashRange(inv, from, SquashReason::DataMispredict);
                 rewindExplicit(inv, std::move(f));
@@ -1413,12 +1411,11 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
         slot.inst->state = InstanceState::Committed;
     const SlotHandle self = slot.self;
     // Commit is strictly in-order: the committed slot is the pipeline
-    // head, so retiring it advances the commit frontier — no erase,
-    // no element shifting.
+    // head.
     SPECFAAS_ASSERT(!inv.slots.empty() &&
-                        inv.slots.front().second == self,
+                        inv.slots.begin()->second == self,
                     "commit not at the pipeline head");
-    inv.slots.popFront();
+    inv.slots.erase(inv.slots.begin());
     slotArena_.destroy(self);
 }
 
@@ -1810,7 +1807,7 @@ SpecController::storagePut(const InstancePtr& inst, const std::string& key,
                     f.pathHash = v.pathHash;
                     rewind = true;
                 }
-                if (rewind && inv.openBranches.anyBefore(from))
+                if (rewind && inv.branchOpenBefore(from))
                     f.afterUnresolvedBranch = true;
             }
 

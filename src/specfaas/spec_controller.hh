@@ -29,6 +29,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -241,15 +242,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         Frontier restart; // re-walk the whole fork on rewind
     };
 
-    struct OrderLess
-    {
-        bool
-        operator()(const OrderKey& a, const OrderKey& b) const
-        {
-            return orderKeyLess(a, b);
-        }
-    };
-
     struct ParkedRead
     {
         InstancePtr reader;
@@ -266,13 +258,13 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         const FlowProgram* program = nullptr;
         ResultCallback done;
 
-        /** Pipeline: program order → slot handle, order-indexed so
-         * commit advances a head frontier (popFront) and squash
-         * truncates a suffix. The Slot objects themselves live in
-         * the controller's slab-stable slot arena; handles go stale
-         * the moment a slot is squashed or committed, which is
-         * exactly the old byInstance-absence semantics. */
-        PipelineMap<OrderKey, SlotHandle, OrderLess> slots;
+        /** Pipeline: program order → slot handle. Commit retires the
+         * head and squash truncates a suffix. The Slot objects
+         * themselves live in the controller's slab-stable slot
+         * arena; handles go stale the moment a slot is squashed or
+         * committed, which is exactly the old byInstance-absence
+         * semantics. */
+        FlatMap<OrderKey, SlotHandle, OrderLess> slots;
         std::unique_ptr<DataBuffer> buffer;
 
         /** Count of live slots with launchedSpeculatively set and
@@ -280,17 +272,24 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
          * incrementally instead of recounted by pipeline scan. */
         std::size_t specLive = 0;
 
-        /** Orders of launched, not-yet-completed branch slots. The
-         * "is anything before X control-speculative?" questions the
-         * walk and rewind paths ask become a front() compare. */
-        OrderedKeySet<OrderKey, OrderLess> openBranches;
+        /** Orders of launched, not-yet-completed branch slots. */
+        std::set<OrderKey, OrderLess> openBranches;
+
+        /** Whether a branch before @p order is still unresolved
+         * ("is anything before X control-speculative?"). */
+        bool
+        branchOpenBefore(const OrderKey& order) const
+        {
+            return !openBranches.empty() &&
+                   orderKeyLess(*openBranches.begin(), order);
+        }
 
         /** Frontiers blocked on a producer slot's completion. */
-        PipelineMap<OrderKey, Frontier, OrderLess> blocked;
+        FlatMap<OrderKey, Frontier, OrderLess> blocked;
         /** Frontiers parked by the speculation-depth throttle. */
         std::list<Frontier> depthBlocked;
         FlatMap<FlowIndex, JoinState> joins;
-        PipelineMap<OrderKey, ForkMeta, OrderLess> forks;
+        FlatMap<OrderKey, ForkMeta, OrderLess> forks;
 
         /** Pending speculative callees: caller id + call site → slot
          * order. */
@@ -302,16 +301,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         /** (program order, function) pairs; sorted into
          * result.executedSequence when the invocation finishes. */
         std::vector<std::pair<OrderKey, Symbol>> sequence;
-
-        /**
-         * Bump arena for transient hot-path arrays (squash victim
-         * lists). Monotonic over the invocation's lifetime — squash
-         * cascades re-enter squashRange, so resetting mid-invocation
-         * would stomp live arrays; the memory is recycled when the
-         * record returns to the pool. Only trivially-destructible
-         * payloads (handles, ids) may live here.
-         */
-        BumpArena scratch{4096};
 
         /**
          * Results already observed at a pipeline position during
@@ -355,7 +344,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
             Value output;
             FlowIndex actualTarget = kFlowNone; // branches only
         };
-        PipelineMap<OrderKey, CommittedNode, OrderLess> committed;
+        FlatMap<OrderKey, CommittedNode, OrderLess> committed;
 
         /**
          * Outstanding container-kill squash debt: number of upcoming
@@ -367,7 +356,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
         /** Fault-retry attempts per pipeline coordinate; survives the
          * squash/relaunch cycle so give-up thresholds are honest. */
-        PipelineMap<OrderKey, std::uint32_t, OrderLess> faultAttempts;
+        FlatMap<OrderKey, std::uint32_t, OrderLess> faultAttempts;
 
         /** Response payload observed when the walk reaches the end
          * of the program. */

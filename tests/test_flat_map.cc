@@ -6,8 +6,9 @@
  * maps, branch hints, fault attempts) through FlatMap; these tests
  * pin the std::map surface it promises — ordered iteration, find /
  * lower_bound / count, operator[] insert-or-find, emplace
- * insert-or-ignore, erase by key and iterator — plus the custom
- * comparator shape the controllers use for OrderKey keys.
+ * insert-or-ignore, erase by key and iterator, suffix truncation,
+ * single-pass eraseIf — plus the custom comparator shape the
+ * controllers use for OrderKey keys.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +144,35 @@ TEST(FlatMap, RangeScanViaLowerBound)
     for (auto it = m.lower_bound(5); it != m.end(); ++it)
         tail.push_back(it->first);
     EXPECT_EQ(tail, (std::vector<int>{6, 8, 10}));
+}
+
+TEST(FlatMap, EraseIfRunsPredicateExactlyOncePerEntry)
+{
+    // The squash path's pendingCallees purge relies on a single
+    // compacting pass, not an erase per victim.
+    FlatMap<int, int> m;
+    for (int i = 0; i < 1000; ++i)
+        m.emplace(i, i);
+    std::size_t calls = 0;
+    const std::size_t erased = m.eraseIf([&calls](const auto& e) {
+        ++calls;
+        return e.second % 2 == 0;
+    });
+    EXPECT_EQ(calls, 1000u);
+    EXPECT_EQ(erased, 500u);
+    EXPECT_EQ(m.size(), 500u);
+}
+
+TEST(FlatMap, EraseFromTruncatesSuffixAndReportsCount)
+{
+    FlatMap<int, int> m;
+    for (int i = 0; i < 10; ++i)
+        m.emplace(i, i);
+    EXPECT_EQ(m.eraseFrom(7), 3u);
+    EXPECT_EQ(m.size(), 7u);
+    EXPECT_EQ(m.eraseFrom(100), 0u);
+    EXPECT_EQ(m.eraseFrom(0), 7u);
+    EXPECT_TRUE(m.empty());
 }
 
 } // namespace
