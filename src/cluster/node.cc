@@ -115,18 +115,6 @@ Node::abort(ComputeTaskId task, Tick kill_overhead)
     return true;
 }
 
-bool
-Node::isActive(ComputeTaskId task) const
-{
-    for (const Running& r : running_)
-        if (r.id == task)
-            return true;
-    return std::any_of(waiting_.begin() +
-                           static_cast<std::ptrdiff_t>(waitHead_),
-                       waiting_.end(),
-                       [task](const Waiting& w) { return w.id == task; });
-}
-
 Tick
 Node::busyCoreTicks() const
 {

@@ -77,9 +77,6 @@ class Node
      */
     bool abort(ComputeTaskId task, Tick kill_overhead);
 
-    /** True while @p task is queued or running. */
-    bool isActive(ComputeTaskId task) const;
-
     /**
      * Busy core-ticks accumulated up to now (integral of busyCores
      * over time). utilization = busyCoreTicks / (cores × elapsed).

@@ -8,8 +8,6 @@ namespace specfaas {
 
 namespace {
 
-LogLevel gLevel = LogLevel::Quiet;
-
 void
 emit(const char* tag, const char* fmt, std::va_list args)
 {
@@ -19,51 +17,6 @@ emit(const char* tag, const char* fmt, std::va_list args)
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    gLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
-void
-logInfo(const char* fmt, ...)
-{
-    if (gLevel < LogLevel::Info)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("info", fmt, args);
-    va_end(args);
-}
-
-void
-logDebug(const char* fmt, ...)
-{
-    if (gLevel < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("debug", fmt, args);
-    va_end(args);
-}
-
-void
-logTrace(const char* fmt, ...)
-{
-    if (gLevel < LogLevel::Trace)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("trace", fmt, args);
-    va_end(args);
-}
 
 void
 panic(const char* fmt, ...)

@@ -4,8 +4,7 @@
  *
  * Follows the gem5 split between conditions that indicate a bug in the
  * simulator itself (panic / SPECFAAS_ASSERT) and conditions caused by
- * bad user input (fatal). Trace output is gated by a global level so
- * benchmark binaries stay quiet by default.
+ * bad user input (fatal).
  */
 
 #ifndef SPECFAAS_COMMON_LOGGING_HH
@@ -15,24 +14,6 @@
 #include <string>
 
 namespace specfaas {
-
-/** Verbosity levels, in increasing order of detail. */
-enum class LogLevel { Quiet = 0, Info = 1, Debug = 2, Trace = 3 };
-
-/** Set the process-wide log verbosity. */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide log verbosity. */
-LogLevel logLevel();
-
-/** printf-style message at Info level. */
-void logInfo(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** printf-style message at Debug level. */
-void logDebug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** printf-style message at Trace level. */
-void logTrace(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report an internal invariant violation and abort. Never returns.

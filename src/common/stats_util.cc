@@ -41,18 +41,6 @@ percentile(std::vector<double> xs, double p)
 }
 
 double
-stddev(const std::vector<double>& xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
-double
 geomean(const std::vector<double>& xs)
 {
     // The geometric mean of zero samples is undefined — returning 0.0
@@ -88,35 +76,6 @@ empiricalCdf(std::vector<double> xs, std::size_t maxPoints)
         out.push_back({xs[std::min(idx, n - 1)], q});
     }
     return out;
-}
-
-void
-Accumulator::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-    if (keepSamples_)
-        samples_.push_back(x);
-}
-
-double
-Accumulator::percentile(double p) const
-{
-    SPECFAAS_ASSERT(keepSamples_, "percentile on sampling-free Accumulator");
-    // Surface the empty-sample case here rather than via the generic
-    // "percentile of empty sample" assert deep inside stats_util: an
-    // empty accumulator has no percentiles, which callers render as
-    // a dash (NaN convention shared with branchHitRate / geomean).
-    if (samples_.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    return specfaas::percentile(samples_, p);
 }
 
 } // namespace specfaas

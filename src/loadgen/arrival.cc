@@ -39,13 +39,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec, Rng rng)
         meanCalmLen_ = static_cast<double>(spec.meanBurstLen) *
                        (1.0 - spec.burstDuty) / spec.burstDuty;
     }
-    if (spec.shape != ArrivalSpec::Shape::Constant) {
-        if (spec.shapeFactor <= 0.0)
-            fatal("ArrivalSpec: shapeFactor must be > 0 (got %g)",
-                  spec.shapeFactor);
-        if (spec.shapeHorizon <= 0)
-            fatal("ArrivalSpec: shapeHorizon must be > 0");
-    }
 }
 
 double
@@ -66,22 +59,6 @@ ArrivalProcess::rateAt(Tick now) const
     }
     case ArrivalSpec::Kind::Bursty:
         rate = burst_ ? calmRate_ * spec_.burstMultiplier : calmRate_;
-        break;
-    }
-
-    switch (spec_.shape) {
-    case ArrivalSpec::Shape::Constant:
-        break;
-    case ArrivalSpec::Shape::Ramp: {
-        const double progress = std::min(
-            1.0, static_cast<double>(t) /
-                     static_cast<double>(spec_.shapeHorizon));
-        rate *= 1.0 + (spec_.shapeFactor - 1.0) * progress;
-        break;
-    }
-    case ArrivalSpec::Shape::Step:
-        if (t >= spec_.shapeHorizon)
-            rate *= spec_.shapeFactor;
         break;
     }
     return rate;

@@ -37,15 +37,7 @@ struct ArrivalSpec
         Bursty,  ///< two-state MMPP (calm / burst)
     };
 
-    enum class Shape
-    {
-        Constant, ///< rate multiplier 1 throughout
-        Ramp,     ///< multiplier 1 → shapeFactor over shapeHorizon
-        Step,     ///< multiplier 1, then shapeFactor after shapeHorizon
-    };
-
     Kind kind = Kind::Poisson;
-    Shape shape = Shape::Constant;
 
     /** Long-run average offered load, requests per second. */
     double rps = 100.0;
@@ -62,16 +54,11 @@ struct ArrivalSpec
     double burstDuty = 0.2; ///< fraction of time in burst, (0, 1)
     Tick meanBurstLen = 200 * kMillisecond;
     /** @} */
-
-    /** @{ Shape: target multiplier and when it is reached/applied. */
-    double shapeFactor = 2.0;
-    Tick shapeHorizon = 5 * kSecond;
-    /** @} */
 };
 
 /**
  * One running arrival process. The first nextGap() call anchors the
- * process's time origin, so shapes and sinusoid phases are relative
+ * process's time origin, so sinusoid phases are relative
  * to the start of the run, not to absolute simulated time.
  */
 class ArrivalProcess
@@ -90,7 +77,7 @@ class ArrivalProcess
      */
     Tick nextGap(Tick now);
 
-    /** Instantaneous rate at @p now, in rps (shape included). */
+    /** Instantaneous rate at @p now, in rps. */
     double rateAt(Tick now) const;
 
     /** True while the MMPP is in its burst phase (tests). */

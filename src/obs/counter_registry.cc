@@ -87,7 +87,4 @@ CounterRegistry::clear()
     gauges_.clear();
 }
 
-// counters() — the default-context shim — is defined in
-// sim/sim_context.cc.
-
 } // namespace specfaas::obs

@@ -11,8 +11,7 @@
  * Each SimContext owns one registry aggregating across the platform
  * instances of its simulation: engines merge their per-run registries
  * into it on destruction, which is what the bench binaries print
- * under --counters. obs::counters() is the default context's
- * registry, for single-simulation binaries and tests.
+ * under --counters.
  */
 
 #ifndef SPECFAAS_OBS_COUNTER_REGISTRY_HH
@@ -72,14 +71,6 @@ class CounterRegistry
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
 };
-
-/**
- * The default SimContext's registry (single-sim shim; defined in
- * sim/sim_context.cc). Engines merge into their own
- * Simulation::context() registry on teardown; this accessor serves
- * session-level code and tests.
- */
-CounterRegistry& counters();
 
 } // namespace specfaas::obs
 

@@ -308,7 +308,4 @@ SamplerArchive::clear()
     dropped_ = 0;
 }
 
-// samplerArchive() / sampleInterval() / setSampleInterval() — the
-// default-context shims — are defined in sim/sim_context.cc.
-
 } // namespace specfaas::obs

@@ -228,19 +228,6 @@ class SamplerArchive
     std::uint64_t dropped_ = 0;
 };
 
-/** The default SimContext's sampler archive (single-sim shim). */
-SamplerArchive& samplerArchive();
-
-/**
- * The default SimContext's sampling period in ticks; 0 (the default)
- * disables gauge sampling. FaasPlatform reads its own context's
- * interval at construction; ObsSession sets this one from
- * --sample-interval. Per-simulation state lives in SimContext
- * (sim/sim_context.hh); these shims serve single-simulation binaries.
- */
-Tick sampleInterval();
-void setSampleInterval(Tick interval);
-
 } // namespace specfaas::obs
 
 #endif // SPECFAAS_OBS_HISTOGRAM_HH

@@ -7,7 +7,7 @@
  * construction behind enabled() so a non-traced run does no string
  * work at all:
  *
- *     auto& tr = obs::trace();
+ *     auto& tr = sim.context().trace();
  *     if (tr.enabled())
  *         tr.instant(obs::cat::kSpec, "squash", now, pid, tid,
  *                    {{"reason", "control-mispredict"}});
@@ -120,15 +120,6 @@ class TraceRecorder
     std::uint64_t dropped_ = 0;
     std::vector<TraceEvent> ring_;
 };
-
-/**
- * The default SimContext's recorder (single-sim shim; defined in
- * sim/sim_context.cc). Engine layers record through their
- * Simulation::context() instead so multi-simulation harnesses stay
- * isolated; this accessor serves session-level code (ObsSession) and
- * tests.
- */
-TraceRecorder& trace();
 
 } // namespace specfaas::obs
 

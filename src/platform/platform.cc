@@ -169,8 +169,6 @@ FaasPlatform::invokeSync(const Application& app, Value input)
     // outlive the request but terminates.
     sim_.events().run();
     if (!finished && spec_ != nullptr) {
-        logInfo("stuck invocation state:\n%s",
-                spec_->debugDump().c_str());
         std::fprintf(stderr, "%s\n", spec_->debugDump().c_str());
     }
     SPECFAAS_ASSERT(finished, "invocation of %s did not complete",

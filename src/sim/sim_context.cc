@@ -54,44 +54,4 @@ Simulation::contextProfiler() const
     return context_->profiler();
 }
 
-namespace obs {
-
-TraceRecorder&
-trace()
-{
-    return defaultSimContext().trace();
-}
-
-CounterRegistry&
-counters()
-{
-    return defaultSimContext().counters();
-}
-
-SamplerArchive&
-samplerArchive()
-{
-    return defaultSimContext().samplerArchive();
-}
-
-Profiler&
-profiler()
-{
-    return defaultSimContext().profiler();
-}
-
-Tick
-sampleInterval()
-{
-    return defaultSimContext().sampleInterval();
-}
-
-void
-setSampleInterval(Tick interval)
-{
-    defaultSimContext().setSampleInterval(interval);
-}
-
-} // namespace obs
-
 } // namespace specfaas

@@ -4,13 +4,12 @@
  * trace recorder, the counter registry, the sampler-series archive
  * and the gauge-sampling interval.
  *
- * Historically every engine layer recorded into process-global
- * singletons (obs::trace(), obs::counters(), the id sources in
- * runtime/ids.cc). That is fine for a binary that runs exactly one
- * simulation, but any harness running several simulations in one
- * process — a load sweep, the 520-case chaos suite, fuzz_chaos —
- * silently leaked ids, counters and trace state from one run into the
- * next, and could never execute independent runs concurrently.
+ * Process-global singletons for this state would do for a binary
+ * that runs exactly one simulation, but any harness running several
+ * simulations in one process — a load sweep, the 520-case chaos
+ * suite, fuzz_chaos — would leak ids, counters and trace state from
+ * one run into the next, and could never execute independent runs
+ * concurrently.
  *
  * SimContext owns all of that state for one simulation. A Simulation
  * is constructed against one context (the process-global
@@ -151,8 +150,7 @@ class SimContext
 /**
  * The process-global default context. Simulations constructed without
  * an explicit context record here; ObsSession configures and flushes
- * it; the obs::trace()/obs::counters()/... free functions and the id
- * sources in runtime/ids.hh are thin shims over it.
+ * it.
  */
 SimContext& defaultSimContext();
 

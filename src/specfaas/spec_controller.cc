@@ -225,35 +225,107 @@ SpecController::invoke(const Application& app, Value input,
         f.pathHash = pathhash::kEmpty;
         walk(ref, std::move(f));
     } else {
-        // Implicit: launch the root function; everything else is
-        // driven by its calls and the learned sequence table.
-        const SlotHandle h = slotArena_.create();
-        Slot& slot = slotArena_.at(h);
-        slot.inv = &ref;
-        slot.self = h;
-        slot.function = Symbol(app.rootFunction);
-        slot.order = OrderKey{0};
-        slot.input = input;
-        slot.pathHash = pathhash::kEmpty;
-        slot.nonSpeculative = true;
-
-        LaunchSpec spec;
-        spec.function = slot.function;
-        spec.input = std::move(input);
-        spec.invocation = id;
-        spec.order = slot.order;
-        spec.preOverhead = cluster_.config().platformOverhead;
-        spec.controllerService = cluster_.config().specLaunchService;
-        slot.inst = launcher_.launch(std::move(spec));
-        slot.inst->pathHash = slot.pathHash;
-        slot.inst->slotHandle = h;
-
-        ref.buffer->addColumn(slot.inst->id, slot.order);
-        auto [it, ok] = ref.slots.emplace(slot.order, h);
-        (void)it;
-        SPECFAAS_ASSERT(ok, "root slot collision");
-        speculateCallees(ref, slot);
+        launchRoot(ref, std::move(input));
     }
+}
+
+// ---------------------------------------------------------------------
+// Slot launch
+// ---------------------------------------------------------------------
+
+SpecController::Slot&
+SpecController::newSlot(SpecInvocation& inv, Symbol function,
+                        OrderKey order, Value input, InputSource source,
+                        std::uint64_t path_hash)
+{
+    const SlotHandle h = slotArena_.create();
+    Slot& slot = slotArena_.at(h);
+    slot.inv = &inv;
+    slot.self = h;
+    slot.function = function;
+    slot.order = std::move(order);
+    slot.input = std::move(input);
+    slot.inputSource = source;
+    slot.inputValidated = source == InputSource::Actual;
+    slot.pathHash = path_hash;
+    return slot;
+}
+
+void
+SpecController::launchInto(SpecInvocation& inv, Slot& slot,
+                           LaunchSpec spec, bool pay_kill_debt)
+{
+    spec.function = slot.function;
+    spec.input = slot.input;
+    spec.invocation = inv.result.id;
+    spec.order = slot.order;
+    spec.flowNode = slot.flowNode;
+    spec.controllerService = cluster_.config().specLaunchService;
+    if (pay_kill_debt && inv.containerKillDebt > 0) {
+        // The warm container this launch would have used was
+        // destroyed by a container-kill squash; wait for a
+        // replacement environment (§VI).
+        spec.preOverhead += cluster_.config().containerRespawnLatency;
+        --inv.containerKillDebt;
+    }
+    spec.dataSpeculative = slot.inputSource != InputSource::Actual;
+    spec.inputSource = slot.inputSource;
+    const bool control = spec.controlSpeculative;
+    slot.inst = launcher_.launch(std::move(spec));
+    slot.inst->pathHash = slot.pathHash;
+    slot.inst->slotHandle = slot.self;
+
+    inv.buffer->addColumn(slot.inst->id, slot.order);
+
+    if (slot.launchedSpeculatively) {
+        ++ctrSpeculativeLaunches_;
+        ++inv.result.speculativeLaunches;
+        ++inv.specLive;
+        if (slot.isImplicitCallee)
+            inv.pendingCallees[{slot.callerId, slot.callSite}] = slot.order;
+        if (auto& tr = sim_.context().trace(); tr.enabled()) {
+            std::vector<obs::TraceArg> args = {
+                {"function", slot.function.str()},
+                {"order", orderKeyToString(slot.order)}};
+            if (slot.isImplicitCallee) {
+                args.push_back({"kind", "callee"});
+            } else {
+                args.push_back({"control", control ? "1" : "0", true});
+                args.push_back(
+                    {"data",
+                     slot.inputSource != InputSource::Actual ? "1" : "0",
+                     true});
+            }
+            tr.instant(obs::cat::kSpec, "speculative-launch", sim_.now(),
+                       obs::kControlPlanePid, inv.result.id,
+                       std::move(args));
+        }
+    }
+
+    auto [it, ok] = inv.slots.emplace(slot.order, slot.self);
+    (void)it;
+    SPECFAAS_ASSERT(ok, "slot collision at %s",
+                    orderKeyToString(slot.order).c_str());
+    if (slot.isBranch)
+        inv.openBranches.insert(slot.order);
+    speculateCallees(inv, slot);
+    maybePromote(inv, slot);
+}
+
+void
+SpecController::launchRoot(SpecInvocation& inv, Value input)
+{
+    // Everything else is driven by the root's calls and the learned
+    // sequence table. The root pays no container-kill debt: invoke()
+    // has none yet, and after a crash the squash's debt falls on the
+    // relaunched root's callees.
+    Slot& slot = newSlot(inv, Symbol(inv.app->rootFunction), OrderKey{0},
+                         std::move(input), InputSource::Actual,
+                         pathhash::kEmpty);
+    slot.nonSpeculative = true;
+    LaunchSpec spec;
+    spec.preOverhead = cluster_.config().platformOverhead;
+    launchInto(inv, slot, std::move(spec), false);
 }
 
 // ---------------------------------------------------------------------
@@ -261,83 +333,27 @@ SpecController::invoke(const Application& app, Value input,
 // ---------------------------------------------------------------------
 
 SpecController::Slot&
-SpecController::launchSlot(SpecInvocation& inv, Frontier& f,
+SpecController::launchSlot(SpecInvocation& inv, const Frontier& f,
                            const FlowNode& node)
 {
-    const bool speculative =
-        f.afterUnresolvedBranch || f.source != InputSource::Actual;
-
-    const SlotHandle h = slotArena_.create();
-    Slot& slot = slotArena_.at(h);
-    slot.inv = &inv;
-    slot.self = h;
-    slot.function = node.function;
-    slot.order = f.order;
+    Slot& slot = newSlot(inv, node.function, f.order, f.carry, f.source,
+                         f.pathHash);
     slot.flowNode = f.flowIdx;
-    slot.input = f.carry;
-    slot.inputSource = f.source;
     slot.carryProducer = f.carryProducer;
-    slot.inputValidated = f.source == InputSource::Actual;
-    slot.launchedSpeculatively = speculative;
-    slot.pathHash = f.pathHash;
+    slot.launchedSpeculatively =
+        f.afterUnresolvedBranch || f.source != InputSource::Actual;
     slot.isBranch = node.kind == FlowNode::Kind::Branch;
 
     const bool first = inv.slots.empty() && inv.result.functionsExecuted == 0;
 
     LaunchSpec spec;
-    spec.function = node.function;
-    spec.input = f.carry;
-    spec.invocation = inv.result.id;
-    spec.order = f.order;
-    spec.flowNode = f.flowIdx;
     spec.preOverhead = first ? cluster_.config().platformOverhead
                              : cluster_.config().sequenceTableDispatch;
     if (!first)
         inv.result.transferOverhead +=
             cluster_.config().sequenceTableDispatch;
-    spec.controllerService = cluster_.config().specLaunchService;
-    if (inv.containerKillDebt > 0) {
-        // The warm container this launch would have used was
-        // destroyed by a container-kill squash; wait for a
-        // replacement environment (§VI).
-        spec.preOverhead += cluster_.config().containerRespawnLatency;
-        --inv.containerKillDebt;
-    }
     spec.controlSpeculative = f.afterUnresolvedBranch;
-    spec.dataSpeculative = f.source != InputSource::Actual;
-    spec.inputSource = f.source;
-    slot.inst = launcher_.launch(std::move(spec));
-    slot.inst->pathHash = f.pathHash;
-    slot.inst->slotHandle = h;
-
-    inv.buffer->addColumn(slot.inst->id, slot.order);
-
-    if (speculative) {
-        ++ctrSpeculativeLaunches_;
-        ++inv.result.speculativeLaunches;
-        ++inv.specLive;
-        if (auto& tr = sim_.context().trace(); tr.enabled()) {
-            tr.instant(
-                obs::cat::kSpec, "speculative-launch", sim_.now(),
-                obs::kControlPlanePid, inv.result.id,
-                {{"function", node.function.str()},
-                 {"order", orderKeyToString(f.order)},
-                 {"control", f.afterUnresolvedBranch ? "1" : "0",
-                  true},
-                 {"data",
-                  f.source != InputSource::Actual ? "1" : "0",
-                  true}});
-        }
-    }
-
-    auto [it, ok] = inv.slots.emplace(slot.order, h);
-    (void)it;
-    SPECFAAS_ASSERT(ok, "slot collision at %s",
-                    orderKeyToString(f.order).c_str());
-    if (slot.isBranch)
-        inv.openBranches.insert(slot.order);
-    speculateCallees(inv, slot);
-    maybePromote(inv, slot);
+    launchInto(inv, slot, std::move(spec));
     return slot;
 }
 
@@ -371,7 +387,9 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
         }
         const FlowNode& node = inv.program->node(f.flowIdx);
         switch (node.kind) {
-          case FlowNode::Kind::Func: {
+          case FlowNode::Kind::Func:
+          case FlowNode::Kind::Branch: {
+            const bool is_branch = node.kind == FlowNode::Kind::Branch;
             // Already committed at this coordinate: a rewind walked
             // back over irrevocable work. Replay the committed
             // outcome; re-launching would double-apply its effects.
@@ -383,8 +401,14 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
                                     f.carry == cn.input,
                                 "committed-replay mismatch at %s",
                                 orderKeyToString(f.order).c_str());
-                f.carry = cn.output;
-                f.flowIdx = node.next;
+                if (is_branch) {
+                    // Branch targets inherit the branch input: the
+                    // carry is unchanged.
+                    f.flowIdx = cn.actualTarget;
+                } else {
+                    f.carry = cn.output;
+                    f.flowIdx = node.next;
+                }
                 f.order = increment(f.order);
                 f.pathHash =
                     pathhash::extend(f.pathHash, node.function);
@@ -405,28 +429,20 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
 
             // Pure-function fast path (§V-B): skip execution on a
             // memo hit for an annotated pure function.
-            if (config_.speculation && config_.memoization &&
-                config_.pureFunctionSkip && def.pureAnnotation) {
+            if (!is_branch && config_.speculation &&
+                config_.memoization && config_.pureFunctionSkip &&
+                def.pureAnnotation) {
                 const MemoRow* row =
                     memo_.table(node.function).lookup(f.carry);
                 if (row != nullptr) {
-                    const SlotHandle sh = slotArena_.create();
-                    Slot& slot = slotArena_.at(sh);
-                    slot.inv = &inv;
-                    slot.self = sh;
-                    slot.function = node.function;
-                    slot.order = f.order;
+                    Slot& slot = newSlot(inv, node.function, f.order,
+                                         f.carry, f.source, f.pathHash);
                     slot.flowNode = f.flowIdx;
-                    slot.input = f.carry;
-                    slot.inputSource = f.source;
                     slot.carryProducer = f.carryProducer;
-                    slot.inputValidated =
-                        f.source == InputSource::Actual;
                     slot.completed = true;
                     slot.skippedPure = true;
                     slot.output = row->output;
-                    slot.pathHash = f.pathHash;
-                    inv.slots.emplace(slot.order, sh);
+                    inv.slots.emplace(slot.order, slot.self);
                     ++ctrPureSkips_;
                     ++inv.result.memoHits;
                     if (auto& tr = sim_.context().trace(); tr.enabled()) {
@@ -460,7 +476,58 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
             const std::uint64_t next_path =
                 pathhash::extend(f.pathHash, node.function);
 
-            if (config_.speculation && config_.memoization) {
+            if (is_branch) {
+                // An outcome already observed during this invocation
+                // (a rewind re-executing the branch) beats the
+                // predictor.
+                auto hint = inv.branchHints.find(f.order);
+                if (hint != inv.branchHints.end() &&
+                    hint->second.function == node.function &&
+                    hint->second.input == slot.input) {
+                    slot.predictionMade = true;
+                    slot.predictedTarget = hint->second.target;
+                    if (auto& tr = sim_.context().trace();
+                        tr.enabled()) {
+                        tr.instant(obs::cat::kSpec, "branch-predict",
+                                   sim_.now(), obs::kControlPlanePid,
+                                   inv.result.id,
+                                   {{"function", node.function.str()},
+                                    {"source", "replay-hint"}});
+                    }
+                } else if (config_.speculation &&
+                           config_.branchPrediction) {
+                    const std::optional<BranchPrediction> pred =
+                        bp_.predict(branchKey(node.function, f.flowIdx),
+                                    config_.bpPathHistory
+                                        ? f.pathHash
+                                        : pathhash::kEmpty);
+                    if (pred && pred->target < node.targets.size()) {
+                        slot.predictionMade = true;
+                        slot.predictedTarget = node.targets[pred->target];
+                        if (auto& tr = sim_.context().trace();
+                            tr.enabled()) {
+                            tr.instant(
+                                obs::cat::kSpec, "branch-predict",
+                                sim_.now(), obs::kControlPlanePid,
+                                inv.result.id,
+                                {{"function", node.function.str()},
+                                 {"source", "predictor"},
+                                 {"target", std::to_string(pred->target),
+                                  true},
+                                 {"probability",
+                                  strFormat("%.3f", pred->probability),
+                                  true}});
+                        }
+                    }
+                }
+                if (slot.predictionMade) {
+                    // Branch targets inherit the branch's input
+                    // (§II-A): carry, source and producer stay
+                    // unchanged.
+                    f.flowIdx = slot.predictedTarget;
+                    f.afterUnresolvedBranch = true;
+                }
+            } else if (config_.speculation && config_.memoization) {
                 // An output already observed during this invocation
                 // (a rewind re-executing the function) beats the
                 // memo table: the table only updates at commit and
@@ -495,114 +562,19 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
                     f.source = InputSource::Memoized;
                     f.carryProducer = slot.order;
                     f.flowIdx = node.next;
-                    f.order = increment(f.order);
-                    f.pathHash = next_path;
-                    continue;
                 }
             }
-
-            // No memoized output: the walk waits for this function.
-            Frontier blocked = f;
-            blocked.flowIdx = node.next;
-            blocked.order = increment(f.order);
-            blocked.pathHash = next_path;
-            inv.blocked.emplace(slot.order, std::move(blocked));
-            return;
-          }
-          case FlowNode::Kind::Branch: {
-            // Committed branch: its direction is settled — follow it
-            // without re-launching (see the Func case above).
-            if (auto cit = inv.committed.find(f.order);
-                cit != inv.committed.end()) {
-                const auto& cn = cit->second;
-                SPECFAAS_ASSERT(cn.function == node.function &&
-                                    f.source == InputSource::Actual &&
-                                    f.carry == cn.input,
-                                "committed-replay mismatch at %s",
-                                orderKeyToString(f.order).c_str());
-                // Branch targets inherit the branch input: the carry
-                // is unchanged.
-                f.flowIdx = cn.actualTarget;
-                f.order = increment(f.order);
-                f.pathHash =
-                    pathhash::extend(f.pathHash, node.function);
-                f.afterUnresolvedBranch = false;
-                continue;
-            }
-
-            if (registry_.get(node.function).nonSpeculativeAnnotation &&
-                !inv.slots.empty() &&
-                orderKeyLess(inv.slots.begin()->first, f.order)) {
-                inv.depthBlocked.push_back(std::move(f));
-                return;
-            }
-            const bool speculative =
-                f.afterUnresolvedBranch ||
-                f.source != InputSource::Actual;
-            if (speculative && inv.specLive >= effectiveSpecDepth()) {
-                inv.depthBlocked.push_back(std::move(f));
-                return;
-            }
-
-            Slot& slot = launchSlot(inv, f, node);
-            const std::uint64_t next_path =
-                pathhash::extend(f.pathHash, node.function);
-
-            // An outcome already observed during this invocation (a
-            // rewind re-executing the branch) beats the predictor.
-            auto hint = inv.branchHints.find(f.order);
-            if (hint != inv.branchHints.end() &&
-                hint->second.function == node.function &&
-                hint->second.input == slot.input) {
-                slot.predictionMade = true;
-                slot.predictedTarget = hint->second.target;
-                if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                    tr.instant(obs::cat::kSpec, "branch-predict",
-                               sim_.now(), obs::kControlPlanePid,
-                               inv.result.id,
-                               {{"function", node.function.str()},
-                                {"source", "replay-hint"}});
-                }
-                f.flowIdx = slot.predictedTarget;
-                f.afterUnresolvedBranch = true;
+            if (slot.predictionMade || slot.outputFedForward) {
                 f.order = increment(f.order);
                 f.pathHash = next_path;
                 continue;
             }
 
-            std::optional<BranchPrediction> pred;
-            if (config_.speculation && config_.branchPrediction) {
-                pred = bp_.predict(branchKey(node.function, f.flowIdx),
-                                   config_.bpPathHistory
-                                       ? f.pathHash
-                                       : pathhash::kEmpty);
-            }
-            if (pred && pred->target < node.targets.size()) {
-                slot.predictionMade = true;
-                slot.predictedTarget = node.targets[pred->target];
-                if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                    tr.instant(
-                        obs::cat::kSpec, "branch-predict", sim_.now(),
-                        obs::kControlPlanePid, inv.result.id,
-                        {{"function", node.function.str()},
-                         {"source", "predictor"},
-                         {"target", std::to_string(pred->target),
-                          true},
-                         {"probability",
-                          strFormat("%.3f", pred->probability),
-                          true}});
-                }
-                // Branch targets inherit the branch's input (§II-A):
-                // carry, source and producer stay unchanged.
-                f.flowIdx = slot.predictedTarget;
-                f.afterUnresolvedBranch = true;
-                f.order = increment(f.order);
-                f.pathHash = next_path;
-                continue;
-            }
-
-            // No usable prediction: wait for the branch to resolve.
+            // No prediction: the walk waits for this function, or
+            // for the branch to resolve (its target is set then).
             Frontier blocked = f;
+            if (!is_branch)
+                blocked.flowIdx = node.next;
             blocked.order = increment(f.order);
             blocked.pathHash = next_path;
             inv.blocked.emplace(slot.order, std::move(blocked));
@@ -683,11 +655,7 @@ SpecController::resumeBlockedOn(SpecInvocation& inv, const Slot& slot)
 
     if (slot.isBranch) {
         f.flowIdx = slot.actualTarget;
-        f.carry = slot.input;
-        f.source = slot.inputValidated ? InputSource::Actual
-                                       : slot.inputSource;
-        f.carryProducer = slot.inputValidated ? OrderKey{}
-                                              : slot.carryProducer;
+        f.carryInputOf(slot);
     } else {
         // flowIdx was recorded at block time (the Func's successor).
         f.carry = slot.output;
@@ -699,27 +667,28 @@ SpecController::resumeBlockedOn(SpecInvocation& inv, const Slot& slot)
 }
 
 void
-SpecController::rewindExplicit(SpecInvocation& inv, Frontier f)
+SpecController::squashAndRewalk(SpecInvocation& inv, Frontier f,
+                                SquashReason reason)
 {
+    adjustRewindToForkBase(inv, f);
+    if (inv.branchOpenBefore(f.order))
+        f.afterUnresolvedBranch = true;
+    squashRange(inv, f.order, reason);
     walk(inv, std::move(f));
 }
 
-bool
-SpecController::adjustRewindToForkBase(SpecInvocation& inv,
-                                       OrderKey& from, Frontier& f)
+void
+SpecController::adjustRewindToForkBase(SpecInvocation& inv, Frontier& f)
 {
     // A squash range starting inside a fork arm also kills the
     // sibling arms (everything later in program order dies), so the
     // rewind must restart the whole fork, not just this arm.
-    if (from.size() <= 1)
-        return false;
-    const OrderKey base{from.front()};
-    auto fit = inv.forks.find(base);
-    if (fit == inv.forks.end())
-        return false; // implicit-callee extension, not a fork region
-    f = fit->second.restart;
-    from = base;
-    return true;
+    if (f.order.size() <= 1)
+        return;
+    auto fit = inv.forks.find(OrderKey{f.order.front()});
+    if (fit != inv.forks.end())
+        f = fit->second.restart;
+    // else: an implicit-callee extension, not a fork region
 }
 
 // ---------------------------------------------------------------------
@@ -930,52 +899,16 @@ SpecController::recoverFromCrash(InvocationId id, SlotHandle h)
         // re-walk, exactly like a misprediction rewind (Figure 6).
         Frontier f;
         f.flowIdx = slot.flowNode;
-        f.carry = slot.input;
-        f.source = slot.inputValidated ? InputSource::Actual
-                                       : slot.inputSource;
-        f.carryProducer =
-            slot.inputValidated ? OrderKey{} : slot.carryProducer;
+        f.carryInputOf(slot);
         f.order = slot.order;
         f.pathHash = slot.pathHash;
-        OrderKey from = slot.order;
-        adjustRewindToForkBase(inv, from, f);
-        if (inv.branchOpenBefore(from))
-            f.afterUnresolvedBranch = true;
-        squashRange(inv, from, SquashReason::Fault);
-        rewindExplicit(inv, std::move(f));
+        squashAndRewalk(inv, std::move(f), SquashReason::Fault);
     } else if (!slot.isImplicitCallee) {
         // Implicit root: everything hangs off it, so everything dies
         // with it; relaunch the root exactly as invoke() did.
         Value input = slot.input;
-        const Application* app = inv.app;
         squashRange(inv, OrderKey{0}, SquashReason::Fault);
-
-        const SlotHandle rh = slotArena_.create();
-        Slot& root = slotArena_.at(rh);
-        root.inv = &inv;
-        root.self = rh;
-        root.function = Symbol(app->rootFunction);
-        root.order = OrderKey{0};
-        root.input = input;
-        root.pathHash = pathhash::kEmpty;
-        root.nonSpeculative = true;
-
-        LaunchSpec spec;
-        spec.function = root.function;
-        spec.input = std::move(input);
-        spec.invocation = id;
-        spec.order = root.order;
-        spec.preOverhead = cluster_.config().platformOverhead;
-        spec.controllerService = cluster_.config().specLaunchService;
-        root.inst = launcher_.launch(std::move(spec));
-        root.inst->pathHash = root.pathHash;
-        root.inst->slotHandle = rh;
-
-        inv.buffer->addColumn(root.inst->id, root.order);
-        auto [rit, ok] = inv.slots.emplace(root.order, rh);
-        (void)rit;
-        SPECFAAS_ASSERT(ok, "root slot collision on retry");
-        speculateCallees(inv, root);
+        launchRoot(inv, std::move(input));
     } else {
         // Implicit callee: the range squash itself relaunches it (and
         // any adopted descendants) under its surviving caller.
@@ -1158,21 +1091,11 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
                 ++ctrControlMispredicts_;
                 Frontier f;
                 f.flowIdx = slot.actualTarget;
-                f.carry = slot.input;
-                f.source = slot.inputValidated ? InputSource::Actual
-                                               : slot.inputSource;
-                f.carryProducer = slot.inputValidated
-                                      ? OrderKey{}
-                                      : slot.carryProducer;
+                f.carryInputOf(slot);
                 f.order = increment(slot.order);
                 f.pathHash = next_path;
-                OrderKey from = increment(slot.order);
-                adjustRewindToForkBase(inv, from, f);
-                if (inv.branchOpenBefore(from))
-                    f.afterUnresolvedBranch = true;
-                squashRange(inv, from,
-                            SquashReason::ControlMispredict);
-                rewindExplicit(inv, std::move(f));
+                squashAndRewalk(inv, std::move(f),
+                                SquashReason::ControlMispredict);
             }
         } else {
             resumeBlockedOn(inv, slot);
@@ -1203,12 +1126,8 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
                 f.source = InputSource::Actual;
                 f.order = increment(slot.order);
                 f.pathHash = next_path;
-                OrderKey from = increment(slot.order);
-                adjustRewindToForkBase(inv, from, f);
-                if (inv.branchOpenBefore(from))
-                    f.afterUnresolvedBranch = true;
-                squashRange(inv, from, SquashReason::DataMispredict);
-                rewindExplicit(inv, std::move(f));
+                squashAndRewalk(inv, std::move(f),
+                                SquashReason::DataMispredict);
             } else {
                 // Prediction validated: consumers of this carry are
                 // now running on confirmed inputs. A carry only ever
@@ -1778,42 +1697,20 @@ SpecController::storagePut(const InstancePtr& inst, const std::string& key,
             }
             minimizer_.recordSquash(slot->function, consumer, key);
 
-            // Remember how to relaunch the squashed explicit region.
-            auto vit = inv.slots.find(from);
-            Frontier f;
-            bool rewind = false;
-            if (vit != inv.slots.end() &&
-                slotAt(vit->second).flowNode != kFlowNone) {
-                const Slot& v = slotAt(vit->second);
-                // Restarting inside a fork arm restarts the fork.
-                if (v.order.size() > 1) {
-                    OrderKey base{v.order.front()};
-                    auto fit = inv.forks.find(base);
-                    if (fit != inv.forks.end()) {
-                        f = fit->second.restart;
-                        from = base;
-                        rewind = true;
-                    }
-                }
-                if (!rewind) {
-                    f.flowIdx = v.flowNode;
-                    f.carry = v.input;
-                    f.source = v.inputValidated ? InputSource::Actual
-                                                : v.inputSource;
-                    f.carryProducer = v.inputValidated
-                                          ? OrderKey{}
-                                          : v.carryProducer;
-                    f.order = v.order;
-                    f.pathHash = v.pathHash;
-                    rewind = true;
-                }
-                if (rewind && inv.branchOpenBefore(from))
-                    f.afterUnresolvedBranch = true;
+            // An explicit reader re-walks from its own node; the range
+            // squash itself relaunches an adopted implicit callee.
+            const Slot& v = slotAt(inv.slots.at(from));
+            if (v.flowNode != kFlowNone) {
+                Frontier f;
+                f.flowIdx = v.flowNode;
+                f.carryInputOf(v);
+                f.order = v.order;
+                f.pathHash = v.pathHash;
+                squashAndRewalk(inv, std::move(f),
+                                SquashReason::BufferViolation);
+            } else {
+                squashRange(inv, from, SquashReason::BufferViolation);
             }
-
-            squashRange(inv, from, SquashReason::BufferViolation);
-            if (rewind)
-                rewindExplicit(inv, std::move(f));
         }
     }
 
@@ -1866,21 +1763,11 @@ SpecController::launchCalleeSlot(SpecInvocation& inv,
 
     OrderKey order = caller_slot.order;
     order.push_back(static_cast<std::int32_t>(call_site));
-
-    const SlotHandle h = slotArena_.create();
-    Slot& slot = slotArena_.at(h);
-    slot.inv = &inv;
-    slot.self = h;
-    slot.function = callee;
-    slot.order = order;
-    slot.flowNode = kFlowNone;
-    slot.input = args;
-    slot.inputSource = source;
-    slot.inputValidated = source == InputSource::Actual;
-    slot.launchedSpeculatively = source != InputSource::Actual;
-    slot.pathHash =
+    Slot& slot = newSlot(
+        inv, callee, std::move(order), std::move(args), source,
         pathhash::extend(caller_slot.pathHash,
-                         callSiteHash(caller_slot.function, call_site));
+                         callSiteHash(caller_slot.function, call_site)));
+    slot.launchedSpeculatively = source != InputSource::Actual;
     slot.isImplicitCallee = true;
     slot.callerId = caller->id;
     slot.callerSlot = caller_slot.self;
@@ -1891,46 +1778,10 @@ SpecController::launchCalleeSlot(SpecInvocation& inv,
     slot.returnTo = std::move(return_to);
 
     LaunchSpec spec;
-    spec.function = callee;
-    spec.input = std::move(args);
-    spec.invocation = inv.result.id;
-    spec.order = order;
     spec.preOverhead = cluster_.config().controllerMsgLatency;
-    spec.controllerService = cluster_.config().specLaunchService;
-    if (inv.containerKillDebt > 0) {
-        spec.preOverhead += cluster_.config().containerRespawnLatency;
-        --inv.containerKillDebt;
-    }
     spec.controlSpeculative = call_predicted;
-    spec.dataSpeculative = source != InputSource::Actual;
-    spec.inputSource = source;
     spec.caller = caller.get();
-    slot.inst = launcher_.launch(std::move(spec));
-    slot.inst->pathHash = slot.pathHash;
-    slot.inst->slotHandle = h;
-
-    inv.buffer->addColumn(slot.inst->id, order);
-    if (slot.launchedSpeculatively) {
-        ++ctrSpeculativeLaunches_;
-        ++inv.result.speculativeLaunches;
-        ++inv.specLive;
-        inv.pendingCallees[{caller->id, call_site}] = order;
-        if (auto& tr = sim_.context().trace(); tr.enabled()) {
-            tr.instant(obs::cat::kSpec, "speculative-launch",
-                       sim_.now(), obs::kControlPlanePid,
-                       inv.result.id,
-                       {{"function", slot.function.str()},
-                        {"order", orderKeyToString(order)},
-                        {"kind", "callee"}});
-        }
-    }
-
-    auto [it, ok] = inv.slots.emplace(order, h);
-    (void)it;
-    SPECFAAS_ASSERT(ok, "callee slot collision at %s",
-                    orderKeyToString(order).c_str());
-    speculateCallees(inv, slot);
-    maybePromote(inv, slot);
+    launchInto(inv, slot, std::move(spec));
 }
 
 void

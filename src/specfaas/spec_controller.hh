@@ -227,6 +227,16 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         OrderKey order;
         std::uint64_t pathHash = pathhash::kEmpty;
         bool afterUnresolvedBranch = false;
+
+        /** Carry @p s's input: a validated input is Actual, any other
+         * keeps the slot's source and producer. */
+        void
+        carryInputOf(const Slot& s)
+        {
+            carry = s.input;
+            source = s.inputValidated ? InputSource::Actual : s.inputSource;
+            carryProducer = s.inputValidated ? OrderKey{} : s.carryProducer;
+        }
     };
 
     struct JoinState
@@ -397,9 +407,31 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         return slotArena_.at(h);
     }
 
+    /**
+     * A fresh slot of @p inv in the slot arena, input fields set; the
+     * caller fills in the kind-specific ones.
+     */
+    Slot& newSlot(SpecInvocation& inv, Symbol function, OrderKey order,
+                  Value input, InputSource source,
+                  std::uint64_t path_hash);
+
+    /**
+     * Launch @p slot's function and enter the slot into the pipeline:
+     * Data Buffer column, speculative-launch accounting, speculative
+     * callees and promotion. @p spec carries the caller-specific
+     * launch fields (preOverhead, controlSpeculative, caller); the
+     * rest come from the slot. Unless @p pay_kill_debt is false the
+     * launch first repays one unit of container-kill debt.
+     */
+    void launchInto(SpecInvocation& inv, Slot& slot, LaunchSpec spec,
+                    bool pay_kill_debt = true);
+
+    /** Launch the root function of an implicit application. */
+    void launchRoot(SpecInvocation& inv, Value input);
+
     /** @{ Explicit-workflow machinery. */
     void walk(SpecInvocation& inv, Frontier f);
-    Slot& launchSlot(SpecInvocation& inv, Frontier& f,
+    Slot& launchSlot(SpecInvocation& inv, const Frontier& f,
                      const FlowNode& node);
     void onExplicitComplete(SpecInvocation& inv, Slot& slot);
     void resumeBlockedOn(SpecInvocation& inv, const Slot& slot);
@@ -428,17 +460,20 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
                             const OrderKey& from_ref,
                             SquashReason reason);
 
-    /** Restart the explicit walk at a squash point. */
-    void rewindExplicit(SpecInvocation& inv, Frontier f);
+    /**
+     * Squash from @p f's position and re-walk from there: the one
+     * recovery sequence of control and data mispredictions, Data
+     * Buffer violations and explicit-node crashes (Figure 6).
+     */
+    void squashAndRewalk(SpecInvocation& inv, Frontier f,
+                         SquashReason reason);
 
     /**
-     * If @p from lies inside a fork region, widen the squash range
-     * to the fork base and replace @p f with the fork's restart
-     * frontier (the whole fork re-executes).
-     * @return true when adjusted
+     * If @p f lies inside a fork region, replace it with the fork's
+     * restart frontier, whose order is the fork base: the whole fork
+     * re-executes.
      */
-    bool adjustRewindToForkBase(SpecInvocation& inv, OrderKey& from,
-                                Frontier& f);
+    void adjustRewindToForkBase(SpecInvocation& inv, Frontier& f);
 
     /** @{ Fault recovery. */
     /** Delayed (post-backoff) squash + relaunch of a crashed slot. */

@@ -4,6 +4,7 @@
 
 #include "obs/counter_registry.hh"
 #include "platform/platform.hh"
+#include "sim/sim_context.hh"
 #include "workloads/app_helpers.hh"
 
 namespace specfaas {
@@ -86,7 +87,7 @@ TEST(CounterRegistry, EngineTeardownMergesIntoGlobalRegistry)
     app.workflow = task("MgF");
     app.inputGen = [](Rng&) { return Value::object({}); };
 
-    obs::counters().clear();
+    defaultSimContext().counters().clear();
     {
         PlatformOptions options;
         options.speculative = false;
@@ -95,12 +96,14 @@ TEST(CounterRegistry, EngineTeardownMergesIntoGlobalRegistry)
         platform.deploy(app);
         (void)platform.invokeSync(app, Value::object({}));
         // Engine still alive: its tallies are private to the run.
-        EXPECT_EQ(obs::counters().value("baseline.invocations"), 0u);
+        EXPECT_EQ(
+            defaultSimContext().counters().value("baseline.invocations"),
+            0u);
     }
     // Engine destroyed: its registry landed in the global one.
-    EXPECT_EQ(obs::counters().value("baseline.invocations"), 1u);
-    EXPECT_EQ(obs::counters().value("baseline.completions"), 1u);
-    obs::counters().clear();
+    EXPECT_EQ(defaultSimContext().counters().value("baseline.invocations"), 1u);
+    EXPECT_EQ(defaultSimContext().counters().value("baseline.completions"), 1u);
+    defaultSimContext().counters().clear();
 }
 
 } // namespace

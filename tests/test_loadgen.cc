@@ -73,34 +73,6 @@ TEST(Arrival, BurstyAveragesToConfiguredRate)
     EXPECT_NEAR(rps, 100.0, 100.0 * 0.15);
 }
 
-TEST(Arrival, RampShapeScalesRateOverHorizon)
-{
-    ArrivalSpec spec;
-    spec.rps = 100.0;
-    spec.shape = ArrivalSpec::Shape::Ramp;
-    spec.shapeFactor = 3.0;
-    spec.shapeHorizon = 10 * kSecond;
-    ArrivalProcess process(spec, Rng(7));
-    process.nextGap(0);
-    EXPECT_NEAR(process.rateAt(0), 100.0, 1.0);
-    EXPECT_NEAR(process.rateAt(5 * kSecond), 200.0, 1.0);
-    EXPECT_NEAR(process.rateAt(10 * kSecond), 300.0, 1.0);
-    EXPECT_NEAR(process.rateAt(20 * kSecond), 300.0, 1.0); // capped
-}
-
-TEST(Arrival, StepShapeSwitchesAtHorizon)
-{
-    ArrivalSpec spec;
-    spec.rps = 100.0;
-    spec.shape = ArrivalSpec::Shape::Step;
-    spec.shapeFactor = 2.0;
-    spec.shapeHorizon = 5 * kSecond;
-    ArrivalProcess process(spec, Rng(7));
-    process.nextGap(0);
-    EXPECT_NEAR(process.rateAt(4 * kSecond), 100.0, 1.0);
-    EXPECT_NEAR(process.rateAt(6 * kSecond), 200.0, 1.0);
-}
-
 TEST(Arrival, SameSeedSameGapSequence)
 {
     ArrivalSpec spec;

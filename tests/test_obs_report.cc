@@ -16,7 +16,7 @@
 #include "obs/trace_export.hh"
 #include "obs/trace_recorder.hh"
 #include "platform/platform.hh"
-#include "runtime/ids.hh"
+#include "sim/sim_context.hh"
 #include "workloads/app_helpers.hh"
 
 namespace specfaas {
@@ -186,12 +186,12 @@ reportBranchChain()
 void
 resetGlobalObsState()
 {
-    resetIdsForTest();
-    obs::trace().disable();
-    obs::trace().clear();
-    obs::counters().clear();
-    obs::samplerArchive().clear();
-    obs::setSampleInterval(0);
+    defaultSimContext().resetIds();
+    defaultSimContext().trace().disable();
+    defaultSimContext().trace().clear();
+    defaultSimContext().counters().clear();
+    defaultSimContext().samplerArchive().clear();
+    defaultSimContext().setSampleInterval(0);
 }
 
 /**
@@ -210,7 +210,7 @@ tracedSpecRun(std::uint64_t seed)
     platform.deploy(app);
     platform.train(app, 20);
 
-    obs::trace().enable(1u << 16);
+    defaultSimContext().trace().enable(1u << 16);
     for (int i = 0; i < 3; ++i) {
         auto ok = platform.invokeSync(
             app, Value::object({{"b0", Value(true)}}));
@@ -219,8 +219,8 @@ tracedSpecRun(std::uint64_t seed)
     auto rare = platform.invokeSync(
         app, Value::object({{"b0", Value(false)}}));
     EXPECT_EQ(rare.response.asString(), "failed");
-    obs::trace().disable();
-    return obs::trace().snapshot();
+    defaultSimContext().trace().disable();
+    return defaultSimContext().trace().snapshot();
 }
 
 // ---------------------------------------------------------------------
@@ -403,7 +403,7 @@ std::pair<std::string, std::string>
 artifactsForSeed(std::uint64_t seed)
 {
     resetGlobalObsState();
-    obs::setSampleInterval(500);
+    defaultSimContext().setSampleInterval(500);
     const auto evs = tracedSpecRun(seed);
 
     const std::string chrome = obs::toChromeTraceJson(evs);
@@ -412,11 +412,12 @@ artifactsForSeed(std::uint64_t seed)
     report.setConfig("seed",
                      Value(static_cast<std::int64_t>(seed)));
     report.addSection("counters",
-                      obs::counterSnapshotValue(obs::counters()));
+                      obs::counterSnapshotValue(
+                          defaultSimContext().counters()));
     report.addSection("critical_path",
                       obs::toValue(obs::analyzeTrace(evs)));
     ValueArray series;
-    for (const auto& s : obs::samplerArchive().series())
+    for (const auto& s : defaultSimContext().samplerArchive().series())
         series.push_back(obs::toValue(s));
     report.addSection("samplers", Value(std::move(series)));
     const std::string json = obs::toJson(report.build());

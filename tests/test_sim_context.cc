@@ -3,10 +3,10 @@
  * SimContext unit + regression tests.
  *
  * The headline regression: running the same application twice in one
- * process used to need resetIdsForTest() (and manual trace/counter
- * clears), because ids and observability sinks were process globals
- * that bled across simulations. With per-simulation contexts, two
- * runs against fresh contexts are byte-identical with no resets.
+ * process used to need id resets and manual trace/counter clears,
+ * because ids and observability sinks were process globals that bled
+ * across simulations. With per-simulation contexts, two runs against
+ * fresh contexts are byte-identical with no resets.
  *
  * The rest pins the contracts the parallel harness builds on: fresh
  * contexts start empty, forTask() mirrors observability config and
@@ -60,8 +60,8 @@ tracedRunJson(const Application& app)
 
 TEST(SimContext, RepeatedRunsAreByteIdenticalWithoutResets)
 {
-    // Two runs of the same app in one process, no resetIdsForTest(),
-    // no global clears between them: with per-run contexts the traces
+    // Two runs of the same app in one process, no id resets, no
+    // global clears between them: with per-run contexts the traces
     // (which embed invocation/instance ids as pids/tids) match
     // byte-for-byte. Before SimContext the second run continued the
     // global id sequences and the traces diverged.

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
 #include "platform/platform.hh"
+#include "sim/sim_context.hh"
 #include "specfaas/spec_controller.hh"
 #include "workloads/app_helpers.hh"
 #include "workloads/suites.hh"
@@ -646,6 +650,134 @@ TEST(SpecController, AdoptedCalleeRelaunchAfterMidExecutionCrash)
     EXPECT_GT(controller->stats().squashes, 0u)
         << "crash recovery should squash the adopted subtree";
     EXPECT_TRUE(controller->liveSlotHandles().empty());
+}
+
+/**
+ * Out-of-order RAW through the Data Buffer (§V-C). BWp computes, then
+ * bumps a store counter and publishes it under "bx"; its output is
+ * constant, so once memoized the walk feeds it forward and the reader
+ * BRr launches early, reads "bx" before BWp has written it, and must
+ * be squashed when the write lands. @p in_fork puts the reader in the
+ * second arm of a fork right after BWp, where the rewind restarts the
+ * whole fork rather than the reader's arm.
+ */
+Application
+bufferViolationApp(bool in_fork)
+{
+    Application app;
+    app.name = in_fork ? "bufviol-fork" : "bufviol";
+    app.suite = "test";
+    app.type = WorkflowType::Explicit;
+
+    FunctionDef writer = worker("BWp", 20.0, [](const Env&) {
+        return Value("ok");
+    });
+    writer.body.push_back(Op::storageRead(
+        [](const Env&) { return std::string("bn"); }, "n"));
+    const auto bumped = [](const Env& e) {
+        return Value(e.var("n").asInt() + 1);
+    };
+    writer.body.push_back(Op::storageWrite(
+        [](const Env&) { return std::string("bx"); }, bumped));
+    writer.body.push_back(Op::storageWrite(
+        [](const Env&) { return std::string("bn"); }, bumped));
+    app.functions.push_back(std::move(writer));
+
+    FunctionDef reader = worker("BRr", 2.0, [](const Env& e) {
+        return e.var("x");
+    });
+    reader.body.insert(reader.body.begin(),
+                       Op::storageRead(
+                           [](const Env&) { return std::string("bx"); },
+                           "x"));
+    reader.body.push_back(Op::storageWrite(
+        [](const Env&) { return std::string("by"); },
+        [](const Env& e) { return e.var("x"); }));
+    app.functions.push_back(std::move(reader));
+
+    app.functions.push_back(worker("BSide", 2.0, [](const Env&) {
+        return Value("side");
+    }));
+
+    app.workflow =
+        in_fork ? sequence({task("BWp"),
+                            parallel({task("BSide"), task("BRr")})})
+                : sequence({task("BWp"), task("BRr")});
+    app.inputGen = [](Rng&) { return Value::object({}); };
+    app.seedStore = [](KvStore& store, Rng&) {
+        store.put("bn", Value(0));
+        store.put("bx", Value(0));
+    };
+    return app;
+}
+
+/**
+ * Run @p app on a baseline and a SpecFaaS platform through the same
+ * request sequence, tracing the last SpecFaaS request. The squash
+ * minimizer is disabled (threshold out of reach) so the premature
+ * read squashes every time rather than learning to stall.
+ */
+void
+expectBufferViolationRewind(bool in_fork, const std::string& squash_from)
+{
+    const Application app = bufferViolationApp(in_fork);
+    const std::size_t train = 3;
+
+    PlatformOptions base_options;
+    base_options.seed = 7;
+    FaasPlatform base(base_options);
+    base.deploy(app);
+    base.train(app, train);
+    const InvocationResult expect =
+        base.invokeSync(app, Value::object({}));
+
+    SpecConfig config;
+    config.stallThreshold = 1u << 30;
+    auto spec = specPlatform(app, config, train);
+    auto* controller = spec->specController();
+    const auto violations_before = controller->stats().bufferViolations;
+
+    auto& trace = defaultSimContext().trace();
+    trace.enable(1u << 16);
+    const InvocationResult got = spec->invokeSync(app, Value::object({}));
+    trace.disable();
+    const auto evs = trace.snapshot();
+    trace.clear();
+
+    EXPECT_EQ(got.response, expect.response)
+        << got.response.toString() << " vs " << expect.response.toString();
+    EXPECT_EQ(spec->store().fingerprint(), base.store().fingerprint());
+    EXPECT_GT(controller->stats().bufferViolations, violations_before);
+    EXPECT_EQ(controller->liveInvocations(), 0u);
+    EXPECT_TRUE(controller->liveSlotHandles().empty());
+
+    // The violation instant, then the squash it triggered.
+    auto violation = std::find_if(evs.begin(), evs.end(), [](const auto& e) {
+        return e.name == "buffer-violation";
+    });
+    ASSERT_NE(violation, evs.end()) << "no buffer-violation instant";
+    auto squash = std::find_if(violation, evs.end(), [](const auto& e) {
+        return e.name == "squash";
+    });
+    ASSERT_NE(squash, evs.end()) << "no squash after the violation";
+    std::map<std::string, std::string> args;
+    for (const auto& a : squash->args)
+        args[a.key] = a.value;
+    EXPECT_EQ(args["reason"], "buffer-violation");
+    EXPECT_EQ(args["from"], squash_from);
+}
+
+TEST(SpecController, BufferViolationSquashesPrematureReader)
+{
+    // The reader sits at [1]: the squash starts there.
+    expectBufferViolationRewind(false, "[1]");
+}
+
+TEST(SpecController, BufferViolationInForkArmRestartsFork)
+{
+    // The reader sits at [1.1.0], in the fork's second arm; the
+    // squash widens to the fork base [1] so both arms re-execute.
+    expectBufferViolationRewind(true, "[1]");
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include "obs/trace_export.hh"
 #include "obs/trace_recorder.hh"
 #include "platform/platform.hh"
+#include "sim/sim_context.hh"
 #include "workloads/app_helpers.hh"
 
 namespace specfaas {
@@ -173,7 +174,7 @@ TEST(TraceEndToEnd, SpeculationLifecycleIsRecorded)
     platform.deploy(app);
     platform.train(app, 20); // untraced: predictor warm-up
 
-    obs::trace().enable(1u << 16);
+    defaultSimContext().trace().enable(1u << 16);
     // Common case: the predicted path is taken.
     Value taken = Value::object({{"b0", Value(true)}});
     auto ok = platform.invokeSync(app, taken);
@@ -183,9 +184,9 @@ TEST(TraceEndToEnd, SpeculationLifecycleIsRecorded)
     auto r = platform.invokeSync(app, rare);
     EXPECT_EQ(r.response.asString(), "failed");
 
-    obs::trace().disable();
-    auto evs = obs::trace().snapshot();
-    obs::trace().clear();
+    defaultSimContext().trace().disable();
+    auto evs = defaultSimContext().trace().snapshot();
+    defaultSimContext().trace().clear();
 
     // The full predict → speculate → validate → commit chain.
     EXPECT_FALSE(named(evs, "branch-predict").empty());
@@ -236,8 +237,8 @@ TEST(TraceEndToEnd, DisabledTracingStaysEmpty)
     FaasPlatform platform(options);
     platform.deploy(app);
     platform.train(app, 5);
-    EXPECT_FALSE(obs::trace().enabled());
-    EXPECT_EQ(obs::trace().size(), 0u);
+    EXPECT_FALSE(defaultSimContext().trace().enabled());
+    EXPECT_EQ(defaultSimContext().trace().size(), 0u);
 }
 
 } // namespace
