@@ -178,8 +178,8 @@ dataBufferSize(const ApplicationRegistry& registry)
 {
     std::printf("\n--- Data Buffer geometry (§VIII-B) ---\n");
     // Peak columns are bounded by the speculation depth; rows by the
-    // records an invocation touches. Report the configured bound and
-    // the approximate footprint of a live invocation's buffer.
+    // records an invocation touches. Only the configured column bound
+    // is reported; the buffer's footprint is not measured.
     EngineSetup setup = specSetup();
     const Application& app = registry.get("OnlPurch");
     auto platform = Experiment::preparedPlatform(app, setup);

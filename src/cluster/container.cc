@@ -37,6 +37,8 @@ ContainerPool::placeBatch(std::uint32_t n, Place&& place)
     // only move forward to the next candidate.
     const auto& workers = fleet_.workers();
     const std::size_t w = workers.size();
+    if (liveByNode_.size() < w)
+        liveByNode_.resize(w, 0); // the fleet grew
     const auto load = [](const Node& node) {
         return node.busyCores() +
                static_cast<std::uint32_t>(node.queueLength());
@@ -115,7 +117,17 @@ ContainerPool::createContainer(ContainerFunctionPool& pool, NodeId node)
     c->busy = false;
     c->dead = false;
     ++pool.live;
+    ++liveByNode_[node];
     return c;
+}
+
+void
+ContainerPool::retire(Container& c)
+{
+    c.dead = true;
+    --c.owner->live;
+    --liveByNode_[c.node];
+    c.owner->free_.push_back(&c);
 }
 
 void
@@ -218,13 +230,15 @@ ContainerPool::destroy(Container& c)
 {
     SPECFAAS_ASSERT(!c.dead, "destroying container %llu twice",
                     static_cast<unsigned long long>(c.id));
-    ContainerFunctionPool& pool = *c.owner;
-    auto wit = std::find(pool.warm.begin(), pool.warm.end(), &c);
-    if (wit != pool.warm.end())
-        pool.warm.erase(wit);
-    c.dead = true;
-    --pool.live;
-    pool.free_.push_back(&c);
+    // Only an idle container sits in the warm deque.
+    if (!c.busy) {
+        auto& warm = c.owner->warm;
+        auto it = std::find(warm.begin(), warm.end(), &c);
+        SPECFAAS_ASSERT(it != warm.end(), "idle container %llu not warm",
+                        static_cast<unsigned long long>(c.id));
+        warm.erase(it);
+    }
+    retire(c);
 }
 
 void
@@ -251,9 +265,7 @@ ContainerPool::reclaimWarmOnNode(NodeId node)
             pool.warm.begin(), pool.warm.end(), [&](Container* c) {
                 if (c->node != node)
                     return false;
-                c->dead = true;
-                --pool.live;
-                pool.free_.push_back(c);
+                retire(*c);
                 ++dropped;
                 return true;
             });
@@ -305,9 +317,7 @@ ContainerPool::evictIdle(Tick now)
             if (now - c->idleSince < keepAlive)
                 break;
             pool.warm.pop_front();
-            c->dead = true;
-            --pool.live;
-            pool.free_.push_back(c);
+            retire(*c);
             ++evicted;
         }
     }
@@ -317,15 +327,7 @@ ContainerPool::evictIdle(Tick now)
 std::size_t
 ContainerPool::liveOnNode(NodeId node) const
 {
-    std::size_t n = 0;
-    for (const auto& entry : pools_) {
-        if (entry == nullptr)
-            continue;
-        for (const Container& c : entry->slots)
-            if (!c.dead && c.node == node)
-                ++n;
-    }
-    return n;
+    return node < liveByNode_.size() ? liveByNode_[node] : 0;
 }
 
 std::size_t

@@ -221,12 +221,21 @@ class ContainerPool
     Container* createContainer(ContainerFunctionPool& pool, NodeId node);
 
     /**
+     * Mark @p c dead and park its slot on the free list; the caller
+     * has already taken it off its warm deque.
+     */
+    void retire(Container& c);
+
+    /**
      * Indexed by Symbol id — a per-function lookup is one array
      * access, no string hashing. Entries are heap-allocated so
      * Container::owner back-pointers survive table growth; unused
      * ids (symbols interned by other subsystems) stay null.
      */
     std::vector<std::unique_ptr<ContainerFunctionPool>> pools_;
+    /** Live (warm + busy) containers per node, indexed by NodeId;
+     * placeBatch grows it with the fleet. */
+    std::vector<std::uint32_t> liveByNode_;
     std::uint64_t coldStarts_ = 0;
     std::uint64_t warmStarts_ = 0;
     std::uint32_t rrNext_ = 0;

@@ -13,22 +13,26 @@
  *    successors — handled by the controller) is squashed;
  *  - WAR / WAW: handled without squashes by column ordering.
  *
- * Columns are ordered by program order (OrderKey). The paper's
- * fixed-geometry circular buffer is modelled as a bounded ordered
- * map: the maximum number of in-flight columns is enforced by the
- * controller's speculation-depth throttle.
+ * The table is stored sparsely. Each row (record) holds only the
+ * cells of the columns that touched it, unordered; a cell names its
+ * column, and the column carries its program order (OrderKey). A read
+ * or write therefore compares the order keys of one row's few cells
+ * and never sorts the columns. Each column lists the rows it touched
+ * and the columns it exchanged forwarded values with, so commit,
+ * merge and squash visit only that column's own cells. The paper's
+ * fixed-geometry circular buffer bounds the column count; here the
+ * controller's speculation-depth throttle does.
  */
 
 #ifndef SPECFAAS_SPECFAAS_DATA_BUFFER_HH
 #define SPECFAAS_SPECFAAS_DATA_BUFFER_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/small_vector.hh"
 #include "common/types.hh"
 #include "common/value.hh"
 #include "runtime/instance.hh"
@@ -65,10 +69,10 @@ class DataBuffer
     void invalidateColumn(InstanceId owner);
 
     /**
-     * Record a read by @p reader. Scans the W bits of predecessor
-     * columns in reverse program order; forwards the youngest
-     * predecessor value when one exists (the caller otherwise fetches
-     * from global storage). Sets the reader's R bit either way.
+     * Record a read by @p reader. Forwards the value of the youngest
+     * predecessor column whose W bit is set for the record, when one
+     * exists (the caller otherwise fetches from global storage). Sets
+     * the reader's R bit either way.
      */
     BufferReadResult read(InstanceId reader, const std::string& key);
 
@@ -100,10 +104,10 @@ class DataBuffer
 
     /**
      * Instances that consumed forwarded values produced by @p writer
-     * and are still live. Used when a column is invalidated for a
-     * reason other than a write scan (e.g. a never-called speculative
-     * callee): its forwarded readers consumed phantom data and must
-     * be squashed as well.
+     * and are still live, in ascending id order. Used when a column
+     * is invalidated for a reason other than a write scan (e.g. a
+     * never-called speculative callee): its forwarded readers
+     * consumed phantom data and must be squashed as well.
      */
     std::vector<InstanceId> readersForwardedFrom(InstanceId writer) const;
 
@@ -111,26 +115,21 @@ class DataBuffer
      * Program-order coordinate of @p owner's live column; nullptr
      * when the column was never opened or already closed. Lets the
      * controller translate buffer-reported instance ids straight to
-     * pipeline coordinates without its own reverse map.
+     * pipeline coordinates without its own reverse map. Valid until
+     * the next addColumn.
      */
     const OrderKey*
     columnOrder(InstanceId owner) const
     {
-        auto it = columns_.find(owner);
-        return it == columns_.end() ? nullptr : &it->second;
+        const Index c = findColumn(owner);
+        return c == kNone ? nullptr : &columns_[c].order;
     }
 
     /** Live column count (in-progress functions). */
-    std::size_t columnCount() const { return columns_.size(); }
+    std::size_t columnCount() const;
 
     /** Number of record rows currently tracked. */
-    std::size_t rowCount() const { return rows_.size(); }
-
-    /**
-     * Approximate footprint in bytes (rows × live cells), reported
-     * by the ablation bench against the paper's §VIII-B "3 KB".
-     */
-    std::size_t footprintBytes() const;
+    std::size_t rowCount() const;
 
     /** @{ Event counters. */
     std::uint64_t forwards() const { return forwards_; }
@@ -138,30 +137,61 @@ class DataBuffer
     /** @} */
 
   private:
+    /** Slot index into columns_ or rows_. */
+    using Index = std::uint32_t;
+    static constexpr Index kNone = ~Index{0};
+    /** owners_ entry of a free column slot. */
+    static constexpr InstanceId kFree = ~InstanceId{0};
+
+    /** One column's R/W bits and buffered value for one record. */
     struct Cell
     {
+        Index column = kNone;
         bool read = false;
         bool written = false;
         Value value;
     };
 
+    /** One record; a row with no cells is a free slot. */
     struct Row
     {
-        // owner → cell; program order comes from columns_.
-        std::map<InstanceId, Cell> cells;
+        std::string key;
+        std::size_t hash = 0;
+        std::vector<Cell> cells;
     };
 
-    /** Program-order position of each live column. */
-    std::map<InstanceId, OrderKey> columns_;
-    std::map<std::string, Row> rows_;
-    /** reader → writers whose buffered values it consumed. */
-    std::map<InstanceId, std::set<InstanceId>> forwardSources_;
+    /** One in-progress function. */
+    struct Column
+    {
+        OrderKey order;
+        /** Rows holding a cell of this column. */
+        SmallVector<Index, 4> rows;
+        /** Columns whose buffered values this column consumed. */
+        SmallVector<Index, 2> sources;
+        /** Columns that consumed this column's buffered values. */
+        SmallVector<Index, 2> readers;
+    };
+
+    /** Column slots; owners_[i] is slot i's owner, kFree if unused. */
+    std::vector<Column> columns_;
+    std::vector<InstanceId> owners_;
+    std::vector<Row> rows_;
     KvStore& store_;
     std::uint64_t forwards_ = 0;
     std::uint64_t violations_ = 0;
 
-    /** Owners ordered by program order. */
-    std::vector<InstanceId> ordered() const;
+    Index findColumn(InstanceId owner) const;
+    /** The row of @p key, taking a free slot when it has none. */
+    Index rowFor(const std::string& key);
+    /** Position of column @p c's cell in @p row, cells.size() if none. */
+    static std::size_t cellOf(const Row& row, Index c);
+    /** Position of column @p c's cell in row @p r, created if absent. */
+    std::size_t cellFor(Index r, Index c);
+    /** Record that column @p reader consumed @p writer's value. */
+    void link(Index reader, Index writer);
+    /** Drop column @p c: its cells (after @p flush), links, slot. */
+    template <typename Flush>
+    void closeColumn(Index c, Flush&& flush);
 };
 
 } // namespace specfaas

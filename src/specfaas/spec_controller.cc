@@ -1184,61 +1184,56 @@ SpecController::onImplicitComplete(SpecInvocation& inv, Slot& slot)
 // Commit
 // ---------------------------------------------------------------------
 
-void
-SpecController::updateTablesAtCommit(SpecInvocation& inv, Slot& slot)
+SpecController::PendingCommit
+SpecController::takeCommitRecord(Slot& slot)
 {
-    (void)inv;
-    if (slot.skippedPure)
-        return;
-
-    // Memoization tables are only updated with committed, validated
-    // data (§V-E).
-    if (config_.memoization) {
-        MemoRow row;
-        row.output = slot.output;
-        if (slot.inst)
-            row.calleeArgs = slot.inst->observedCallArgs;
-        memo_.table(slot.function).update(slot.input, std::move(row));
+    PendingCommit p;
+    p.order = slot.order;
+    p.function = slot.function;
+    p.input = std::move(slot.input);
+    p.output = std::move(slot.output);
+    p.pathHash = slot.pathHash;
+    if (FunctionInstance* inst = slot.inst.get()) {
+        p.callArgs = std::move(inst->observedCallArgs);
+        p.callees = std::move(inst->observedCallees);
+        p.callSiteOutcomes = std::move(inst->callSiteOutcomes);
+        p.containerCreation = inst->containerCreationTime;
+        p.runtimeSetup = inst->runtimeSetupTime;
+        p.platformOverhead = inst->platformOverheadTime;
+        p.execution = inst->execTime;
     }
-
-    if (slot.isBranch) {
-        bp_.update(branchKey(slot.function, slot.flowNode),
-                   config_.bpPathHistory ? slot.pathHash
-                                         : pathhash::kEmpty,
-                   slot.actualOutcome);
-        if (slot.predictionMade) {
-            bp_.notePrediction(slot.predictionCorrect);
-            ++inv.result.branchPredictions;
-            if (slot.predictionCorrect)
-                ++inv.result.branchHits;
-        }
-    }
-
-    if (slot.inst) {
-        // Learned sequence-table entries and call predictors for
-        // implicit workflows (§V-D).
-        for (const auto& [cs, callee] : slot.inst->observedCallees)
-            noteCallSite(slot.function, cs, callee);
-        for (const auto& [cs, taken] : slot.inst->callSiteOutcomes) {
-            bp_.update(callKey(slot.function, cs),
-                       config_.bpPathHistory ? slot.pathHash
-                                             : pathhash::kEmpty,
-                       taken ? 1 : 0);
-        }
-    }
+    return p;
 }
 
 void
-SpecController::accountCommitted(SpecInvocation& inv, Slot& slot)
+SpecController::applyCommit(SpecInvocation& inv, PendingCommit&& p,
+                            bool memoize)
 {
-    ++inv.result.functionsExecuted;
-    inv.sequence.emplace_back(slot.order, slot.function);
-    if (slot.inst) {
-        inv.result.containerCreation += slot.inst->containerCreationTime;
-        inv.result.runtimeSetup += slot.inst->runtimeSetupTime;
-        inv.result.platformOverhead += slot.inst->platformOverheadTime;
-        inv.result.execution += slot.inst->execTime;
+    // Memoization tables are only updated with committed, validated
+    // data (§V-E).
+    if (memoize && config_.memoization) {
+        MemoRow row;
+        row.output = std::move(p.output);
+        row.calleeArgs = std::move(p.callArgs);
+        memo_.table(p.function).update(p.input, std::move(row));
     }
+
+    // Learned sequence-table entries and call predictors for implicit
+    // workflows (§V-D).
+    for (const auto& [cs, callee] : p.callees)
+        noteCallSite(p.function, cs, callee);
+    for (const auto& [cs, taken] : p.callSiteOutcomes) {
+        bp_.update(callKey(p.function, cs),
+                   config_.bpPathHistory ? p.pathHash : pathhash::kEmpty,
+                   taken ? 1 : 0);
+    }
+
+    ++inv.result.functionsExecuted;
+    inv.sequence.emplace_back(std::move(p.order), p.function);
+    inv.result.containerCreation += p.containerCreation;
+    inv.result.runtimeSetup += p.runtimeSetup;
+    inv.result.platformOverhead += p.platformOverhead;
+    inv.result.execution += p.execution;
 }
 
 void
@@ -1256,46 +1251,6 @@ SpecController::noteCallSite(Symbol function, std::size_t call_site,
 }
 
 void
-SpecController::flushPendingCommit(SpecInvocation& inv,
-                                   const PendingCommit& p)
-{
-    if (config_.memoization) {
-        MemoRow row;
-        row.output = p.output;
-        if (p.inst)
-            row.calleeArgs = p.inst->observedCallArgs;
-        memo_.table(p.function).update(p.input, std::move(row));
-    }
-    if (p.inst) {
-        for (const auto& [cs, callee] : p.inst->observedCallees)
-            noteCallSite(p.function, cs, callee);
-        for (const auto& [cs, taken] : p.inst->callSiteOutcomes) {
-            bp_.update(callKey(p.function, cs),
-                       config_.bpPathHistory ? p.pathHash
-                                             : pathhash::kEmpty,
-                       taken ? 1 : 0);
-        }
-    }
-
-    ++inv.result.functionsExecuted;
-    inv.sequence.emplace_back(p.order, p.function);
-    if (p.inst) {
-        inv.result.containerCreation += p.inst->containerCreationTime;
-        inv.result.runtimeSetup += p.inst->runtimeSetupTime;
-        inv.result.platformOverhead += p.inst->platformOverheadTime;
-        inv.result.execution += p.inst->execTime;
-    }
-    ++ctrCommits_;
-    if (auto& tr = sim_.context().trace(); tr.enabled()) {
-        tr.instant(obs::cat::kSpec, "commit", sim_.now(),
-                   obs::kControlPlanePid, inv.result.id,
-                   {{"function", p.function.str()},
-                    {"order", orderKeyToString(p.order)},
-                    {"merged", "1", true}});
-    }
-}
-
-void
 SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
 {
     OBS_ZONE(profiler_, "spec/commit-slot");
@@ -1303,11 +1258,30 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
         inv.buffer->commitColumn(slot.inst->id);
     // Callees merged into this slot commit with it, in recorded
     // (program) order.
-    for (const auto& p : slot.pending)
-        flushPendingCommit(inv, p);
+    for (auto& p : slot.pending) {
+        ++ctrCommits_;
+        if (auto& tr = sim_.context().trace(); tr.enabled()) {
+            tr.instant(obs::cat::kSpec, "commit", sim_.now(),
+                       obs::kControlPlanePid, inv.result.id,
+                       {{"function", p.function.str()},
+                        {"order", orderKeyToString(p.order)},
+                        {"merged", "1", true}});
+        }
+        applyCommit(inv, std::move(p), true);
+    }
     slot.pending.clear();
-    updateTablesAtCommit(inv, slot);
-    accountCommitted(inv, slot);
+    if (slot.isBranch) {
+        bp_.update(branchKey(slot.function, slot.flowNode),
+                   config_.bpPathHistory ? slot.pathHash
+                                         : pathhash::kEmpty,
+                   slot.actualOutcome);
+        if (slot.predictionMade) {
+            bp_.notePrediction(slot.predictionCorrect);
+            ++inv.result.branchPredictions;
+            if (slot.predictionCorrect)
+                ++inv.result.branchHits;
+        }
+    }
     if (slot.flowNode != kFlowNone) {
         SpecInvocation::CommittedNode cn;
         cn.function = slot.function;
@@ -1326,6 +1300,8 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
                    {{"function", slot.function.str()},
                     {"order", orderKeyToString(slot.order)}});
     }
+    // A pure-skipped slot never ran: it teaches the tables nothing.
+    applyCommit(inv, takeCommitRecord(slot), !slot.skippedPure);
     if (slot.inst)
         slot.inst->state = InstanceState::Committed;
     const SlotHandle self = slot.self;
@@ -1851,16 +1827,9 @@ SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
                           std::make_move_iterator(slot.pending.begin()),
                           std::make_move_iterator(slot.pending.end()));
     slot.pending.clear();
-    PendingCommit record;
-    record.order = slot.order;
-    record.function = slot.function;
-    record.input = slot.input;
-    record.output = slot.output;
-    record.pathHash = slot.pathHash;
-    record.inst = slot.inst;
-    caller.pending.push_back(std::move(record));
-
     Value output = slot.output;
+    caller.pending.push_back(takeCommitRecord(slot));
+
     auto cb = std::move(slot.returnTo);
     if (slot.inst)
         slot.inst->state = InstanceState::Committed;

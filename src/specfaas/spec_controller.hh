@@ -140,10 +140,13 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
   private:
     /**
-     * Commit-time effects of a merged callee, deferred until its
-     * caller truly commits: a callee merged into a still-speculative
-     * caller must not update tables or accounting yet (§V-E), and
-     * must be forgotten wholesale if the caller is squashed.
+     * Commit-time effects of one function: what the tables absorb and
+     * what the invocation's accounting adds. A merged callee's record
+     * waits in its caller's slot until the caller truly commits: a
+     * callee merged into a still-speculative caller must not update
+     * tables or accounting yet (§V-E), and is forgotten wholesale if
+     * the caller is squashed. The record owns the data it needs, so
+     * it keeps no instance alive.
      */
     struct PendingCommit
     {
@@ -152,7 +155,17 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         Value input;
         Value output;
         std::uint64_t pathHash = 0;
-        InstancePtr inst;
+        /** @{ The instance's call-site observations (§V-D). */
+        FlatMap<std::size_t, Value> callArgs;
+        FlatMap<std::size_t, Symbol> callees;
+        std::vector<std::pair<std::size_t, bool>> callSiteOutcomes;
+        /** @} */
+        /** @{ The instance's Fig. 3 timing. */
+        Tick containerCreation = 0;
+        Tick runtimeSetup = 0;
+        Tick platformOverhead = 0;
+        Tick execution = 0;
+        /** @} */
     };
 
     struct SpecInvocation;
@@ -486,15 +499,16 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     /** Learn (or confirm) a call-graph edge at commit time. */
     void noteCallSite(Symbol function, std::size_t call_site,
                       Symbol callee);
-    void flushPendingCommit(SpecInvocation& inv,
-                            const PendingCommit& p);
     void resumeParkedReads(SpecInvocation& inv);
     void resumeDepthBlocked(SpecInvocation& inv);
     void performRead(SpecInvocation& inv, const InstancePtr& inst,
                      const std::string& key,
                      ValueCallback done);
-    void updateTablesAtCommit(SpecInvocation& inv, Slot& slot);
-    void accountCommitted(SpecInvocation& inv, Slot& slot);
+    /** Move @p slot's commit effects out of it and its instance. */
+    static PendingCommit takeCommitRecord(Slot& slot);
+    /** Apply @p p to the tables (memo rows only when @p memoize) and
+     * to the invocation's accounting. */
+    void applyCommit(SpecInvocation& inv, PendingCommit&& p, bool memoize);
     void finish(SpecInvocation& inv);
 
     /** Current allowed number of speculative in-flight slots. */

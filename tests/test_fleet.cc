@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -633,6 +634,122 @@ TEST(Placement, ReclaimKeepsSurvivorOrder)
     EXPECT_EQ(drainWarmOrder(sim, fleet, fn, 4),
               (std::vector<NodeId>{0, 2, 0, 2}));
     EXPECT_EQ(fleet.containers().warmCount(), 0u);
+}
+
+TEST(Placement, LiveOnNodeMatchesBruteForceCount)
+{
+    // Random prewarm / acquire / release / destroy / evict / dropNode
+    // sequences. At the end the test acquires every warm container,
+    // so the containers it holds are a census of the live ones to
+    // check the per-node counts against.
+    const Tick settle = msToTicks(10000.0); // covers cold-start retries
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        Simulation sim;
+        ClusterConfig cluster = smallCluster();
+        cluster.numNodes = static_cast<std::uint32_t>(rng.uniformInt(1, 6));
+        FleetConfig cfg = dynamicConfig();
+        cfg.minNodes = 1;
+        cfg.eviction.policy = EvictionConfig::Policy::FixedTtl;
+        cfg.eviction.fixedTtl = msToTicks(50.0);
+        Fleet fleet(sim, cluster, cfg);
+        ContainerPool& pool = fleet.containers();
+        const Symbol fns[] = {Symbol("live-count-a"),
+                              Symbol("live-count-b")};
+        std::vector<Container*> held;
+        // Released containers with the id they had, to destroy idle
+        // ones that are still the same container.
+        std::vector<std::pair<Container*, std::uint64_t>> released;
+        const auto acquire = [&](Symbol fn) {
+            pool.acquire(fn, [&held](Container& c, const AcquireTiming&) {
+                held.push_back(&c);
+            });
+        };
+        const auto takeHeld = [&]() {
+            const std::size_t i = rng.uniformInt(held.size());
+            Container* c = held[i];
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+            return c;
+        };
+        const std::size_t nodes = fleet.workers().size();
+
+        for (int step = 0; step < 40; ++step) {
+            const Symbol fn = fns[rng.uniformInt(std::size(fns))];
+            switch (rng.uniformInt(std::uint64_t{7})) {
+            case 0:
+                pool.prewarm(fn, static_cast<std::uint32_t>(
+                                     rng.uniformInt(1, 4)));
+                break;
+            case 1:
+                acquire(fn);
+                sim.events().runUntil(sim.now() + settle);
+                break;
+            case 2:
+                if (!held.empty()) {
+                    Container* c = takeHeld();
+                    released.emplace_back(c, c->id);
+                    pool.release(*c);
+                }
+                break;
+            case 3:
+                if (!held.empty())
+                    pool.destroy(*takeHeld());
+                break;
+            case 4:
+                for (auto [c, id] : released) {
+                    if (c->id == id && !c->dead && !c->busy) {
+                        pool.destroy(*c);
+                        break;
+                    }
+                }
+                break;
+            case 5:
+                sim.events().runUntil(sim.now() + msToTicks(100.0));
+                pool.evictIdle(sim.now());
+                break;
+            default: {
+                const auto id = static_cast<NodeId>(rng.uniformInt(nodes));
+                if (rng.bernoulli(0.5))
+                    fleet.failNode(id); // drops its warm pool
+                else
+                    fleet.restoreNode(id);
+                break;
+            }
+            }
+            std::size_t total = 0;
+            for (NodeId id = 0; id < nodes; ++id)
+                total += pool.liveOnNode(id);
+            ASSERT_EQ(total, pool.containerCount(fns[0]) +
+                                 pool.containerCount(fns[1]));
+        }
+
+        // Finish pending cold starts on placeable nodes, then take
+        // every warm container.
+        for (NodeId id = 0; id < nodes; ++id)
+            fleet.restoreNode(id);
+        sim.events().runUntil(sim.now() + settle);
+        const std::vector<std::size_t> live = liveByNode(fleet);
+        for (const Symbol fn : fns) {
+            const auto mine = std::count_if(
+                held.begin(), held.end(),
+                [fn](const Container* c) { return c->owner->sym == fn; });
+            const std::size_t warm =
+                pool.containerCount(fn) - static_cast<std::size_t>(mine);
+            for (std::size_t i = 0; i < warm; ++i)
+                acquire(fn);
+        }
+        sim.events().runUntil(sim.now() +
+                              fleet.clusterConfig().handlerForkOverhead);
+        EXPECT_EQ(pool.warmCount(), 0u);
+        std::vector<std::size_t> census(nodes, 0);
+        for (const Container* c : held) {
+            ASSERT_FALSE(c->dead);
+            ++census[c->node];
+        }
+        EXPECT_EQ(live, census);
+        EXPECT_EQ(liveByNode(fleet), census);
+    }
 }
 
 } // namespace
